@@ -11,7 +11,7 @@ FUZZTIME ?= 30s
 COVER_PKGS = ./internal/store ./internal/live ./internal/core
 COVER_MIN  = 70
 
-.PHONY: all build test race vet lint fmt fmt-check obs-check est-check bench bench-smoke bench-json snapshot-bench test-nommap stress fuzz cover cover-check check clean
+.PHONY: all build test race vet lint fmt fmt-check obs-check est-check perfbench-check bench bench-smoke bench-json snapshot-bench test-nommap stress fuzz cover cover-check check clean
 
 all: build
 
@@ -61,6 +61,13 @@ est-check:
 	$(GO) test -count=1 \
 		-run 'TestPlannerOrderNonRegression|TestEstimationAccuracyMixes|TestEstimatorQErrorGolden|TestEstimatorExactSinglePattern' \
 		./internal/query/
+
+# The benchmark program (perfbench/) is its own module, so the root's
+# build, vet and test never see it: vet it and run its short tests here
+# (mirrored as a CI step), so an API change to rdfsum cannot break the
+# benchmark unnoticed.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test -short ./...
 
 # Full benchmark sweep (the 1M-triple load benchmark takes a while).
 bench:
@@ -163,7 +170,7 @@ cover-check:
 		fi; \
 	done; rm -f .cover.tmp; exit $$fail
 
-check: build vet fmt-check race obs-check est-check bench-smoke cover-check
+check: build vet fmt-check race obs-check est-check perfbench-check bench-smoke cover-check
 
 clean:
 	$(GO) clean ./...

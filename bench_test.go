@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"sync"
 	"testing"
@@ -259,11 +260,26 @@ func BenchmarkNTriplesParse(b *testing.B) {
 	data := buf.Bytes()
 	b.SetBytes(int64(len(data)))
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	loopAllocsPerTriple(b, g.NumEdges(), func() {
 		if _, err := ntriples.Parse(bytes.NewReader(data)); err != nil {
 			b.Fatal(err)
 		}
+	})
+}
+
+// loopAllocsPerTriple runs the benchmark loop over op, which handles
+// triples triples, and reports allocs/op plus allocs/triple: the
+// per-triple figure compares across input sizes and layers.
+func loopAllocsPerTriple(b *testing.B, triples int, op func()) {
+	b.Helper()
+	b.ReportAllocs()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < b.N; i++ {
+		op()
 	}
+	runtime.ReadMemStats(&after)
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(b.N)/float64(triples), "allocs/triple")
 }
 
 // ntData renders a cached BSBM graph as N-Triples bytes for the load
@@ -294,9 +310,10 @@ func ntData(b *testing.B, products int) []byte {
 // BSBM triples (products=5000).
 func BenchmarkLoadNTriples(b *testing.B) {
 	data := ntData(b, 5000)
+	triples := bsbmGraph(b, 5000).NumEdges()
 	b.Run("sequential", func(b *testing.B) {
 		b.SetBytes(int64(len(data)))
-		for i := 0; i < b.N; i++ {
+		loopAllocsPerTriple(b, triples, func() {
 			g := rdfsum.EmptyGraph()
 			if err := rdfsum.ParseStream(bytes.NewReader(data), func(t rdfsum.Triple) error {
 				g.Add(t)
@@ -304,18 +321,21 @@ func BenchmarkLoadNTriples(b *testing.B) {
 			}); err != nil {
 				b.Fatal(err)
 			}
-		}
+		})
 	})
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("parallel/workers=%d", workers), func(b *testing.B) {
 			b.SetBytes(int64(len(data)))
-			for i := 0; i < b.N; i++ {
-				if _, err := rdfsum.LoadNTriplesParallel(bytes.NewReader(data),
-					&rdfsum.LoadOptions{Workers: workers}); err != nil {
-					b.Fatal(err)
-				}
-			}
+			loopAllocsPerTriple(b, triples, func() { loadParallel(b, data, workers) })
 		})
+	}
+}
+
+// loadParallel loads N-Triples data through the loading pipeline.
+func loadParallel(b *testing.B, data []byte, workers int) {
+	if _, err := rdfsum.LoadNTriplesParallel(bytes.NewReader(data),
+		&rdfsum.LoadOptions{Workers: workers}); err != nil {
+		b.Fatal(err)
 	}
 }
 
@@ -328,24 +348,15 @@ func BenchmarkLoadNTriples1M(b *testing.B) {
 		b.Skip("1M-triple load benchmark skipped in -short mode")
 	}
 	data := ntData(b, 17500)
+	triples := bsbmGraph(b, 17500).NumEdges()
 	b.Run("sequential", func(b *testing.B) {
 		b.SetBytes(int64(len(data)))
-		for i := 0; i < b.N; i++ {
-			if _, err := rdfsum.LoadNTriplesParallel(bytes.NewReader(data),
-				&rdfsum.LoadOptions{Workers: 1}); err != nil {
-				b.Fatal(err)
-			}
-		}
+		loopAllocsPerTriple(b, triples, func() { loadParallel(b, data, 1) })
 	})
 	for _, workers := range []int{4, 8} {
 		b.Run(fmt.Sprintf("parallel/workers=%d", workers), func(b *testing.B) {
 			b.SetBytes(int64(len(data)))
-			for i := 0; i < b.N; i++ {
-				if _, err := rdfsum.LoadNTriplesParallel(bytes.NewReader(data),
-					&rdfsum.LoadOptions{Workers: workers}); err != nil {
-					b.Fatal(err)
-				}
-			}
+			loopAllocsPerTriple(b, triples, func() { loadParallel(b, data, workers) })
 		})
 	}
 }
@@ -362,12 +373,7 @@ func BenchmarkLoadNTriplesLUBM(b *testing.B) {
 	for _, workers := range []int{1, 4} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			b.SetBytes(int64(len(data)))
-			for i := 0; i < b.N; i++ {
-				if _, err := rdfsum.LoadNTriplesParallel(bytes.NewReader(data),
-					&rdfsum.LoadOptions{Workers: workers}); err != nil {
-					b.Fatal(err)
-				}
-			}
+			loopAllocsPerTriple(b, g.NumEdges(), func() { loadParallel(b, data, workers) })
 		})
 	}
 }

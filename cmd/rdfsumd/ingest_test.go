@@ -159,6 +159,37 @@ func TestIngestCorruptCompressedBody(t *testing.T) {
 	}
 }
 
+// TestIngestInvalidUTF8Body: a Latin-1 upload (a term holding a byte that
+// is not UTF-8) is refused as 400 invalid_argument for either
+// serialization, the message names the line, and nothing is published.
+// Decoding the byte to U+FFFD instead would merge distinct terms.
+func TestIngestInvalidUTF8Body(t *testing.T) {
+	for _, tc := range []struct {
+		contentType, body, where string
+	}{
+		{"application/n-triples", ntBody(0, 3) + "<http://x/caf\xe9> <http://x/p> \"cr\xe8me\" .\n", "line 4"},
+		{"text/turtle", ttlBody(0, 3) + "x:caf\xe9 x:p \"cr\xe8me\" .\n", "line 5:"},
+	} {
+		t.Run(tc.contentType, func(t *testing.T) {
+			ts, srv := liveTestServer(t, nil)
+			resp, body := postRaw(t, ts.URL+"/v1", tc.contentType, "", []byte(tc.body))
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Fatalf("status = %d, want 400: %v", resp.StatusCode, body)
+			}
+			if errCode(body) != "invalid_argument" {
+				t.Fatalf("code = %q, want invalid_argument: %v", errCode(body), body)
+			}
+			env, _ := body["error"].(map[string]any)
+			if msg, _ := env["message"].(string); !strings.Contains(msg, "invalid UTF-8") || !strings.Contains(msg, tc.where) {
+				t.Fatalf("message %q does not name the invalid UTF-8 at %s", msg, tc.where)
+			}
+			if got := srv.lv.Stats().Triples; got != 0 {
+				t.Fatalf("rejected upload published %d triples", got)
+			}
+		})
+	}
+}
+
 // TestIngestBackpressure429: with a single-batch queue, concurrent
 // ingests must shed load as 429 + Retry-After + "ingest_overloaded",
 // and the rejection shows up in /stats.

@@ -690,7 +690,11 @@ func parseTriplesBody(w http.ResponseWriter, r *http.Request) ([]rdfsum.Triple, 
 		return nil, 0, false
 	}
 	if parseErr != nil {
-		httpapi.WriteError(w, httpapi.Errorf(http.StatusBadRequest, httpapi.CodeParse, "%v", parseErr))
+		code := httpapi.CodeParse
+		if errors.Is(parseErr, rdfsum.ErrInvalidUTF8) {
+			code = httpapi.CodeInvalidArgument // the body is not UTF-8 text at all
+		}
+		httpapi.WriteError(w, httpapi.Errorf(http.StatusBadRequest, code, "%v", parseErr))
 		return nil, 0, false
 	}
 	return triples, maxIngestBody + 1 - lr.N, true

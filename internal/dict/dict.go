@@ -9,6 +9,7 @@ package dict
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"rdfsum/internal/rdf"
@@ -57,6 +58,19 @@ func WithCapacity(n int) *Dict {
 	}
 }
 
+// reserve makes room for n more terms, so that interning them grows
+// neither the term table nor the index. d must not be shared.
+func (d *Dict) reserve(n int) {
+	if cap(d.terms)-len(d.terms) < n {
+		d.terms = slices.Grow(d.terms, n)
+	}
+	index := make(map[rdf.Term]ID, len(d.index)+n)
+	for t, id := range d.index {
+		index[t] = id
+	}
+	d.index = index
+}
+
 // Share switches d into shared mode: from now on every method is safe for
 // concurrent use by multiple goroutines. The switch itself must happen
 // before the dictionary is shared (it is not itself synchronized), and
@@ -83,6 +97,11 @@ func (d *Dict) Encode(t rdf.Term) ID {
 			return id
 		}
 	}
+	return d.push(t)
+}
+
+// push appends t, which d must not hold yet, and returns its new ID.
+func (d *Dict) push(t rdf.Term) ID {
 	d.terms = append(d.terms, t)
 	id := ID(d.baseLen() + len(d.terms))
 	d.index[t] = id

@@ -119,3 +119,39 @@ func TestShardedConcurrentObserve(t *testing.T) {
 		}
 	}
 }
+
+// TestShardedHashCollisions: distinct terms filed under one hash stay
+// distinct (the first in the index, the rest in spill), repeats find
+// their own entry, and Finalize numbers them like any other terms.
+func TestShardedHashCollisions(t *testing.T) {
+	s := NewSharded()
+	terms := []rdf.Term{
+		rdf.NewIRI("http://e.org/a"),
+		rdf.NewBlank("http://e.org/a"),
+		rdf.NewLiteral("http://e.org/a"),
+		rdf.NewLangLiteral("http://e.org/a", "en"),
+	}
+	const h = 0xdeadbeef // forced: every term collides
+	provs := make([]ProvID, len(terms))
+	for i, tm := range terms {
+		provs[i] = s.ObserveHash(tm, h, uint64(10*(i+1)))
+	}
+	for i, tm := range terms {
+		if p := s.ObserveHash(tm, h, uint64(i)); p != provs[i] {
+			t.Fatalf("repeat of %v got prov %d, first got %d", tm, p, provs[i])
+		}
+	}
+	if s.Len() != len(terms) {
+		t.Fatalf("%d terms observed, want %d", s.Len(), len(terms))
+	}
+	d := New()
+	remap := s.Finalize(d)
+	for i, tm := range terms {
+		if got := d.Term(Remap(remap, provs[i])); got != tm {
+			t.Fatalf("term %d resolved to %v, want %v", i, got, tm)
+		}
+		if id := Remap(remap, provs[i]); id != ID(i+1) {
+			t.Fatalf("term %d got id %d, want %d (first-occurrence order)", i, id, i+1)
+		}
+	}
+}

@@ -23,7 +23,8 @@ import (
 
 // Stable error codes of the /v1 API.
 const (
-	// CodeInvalidArgument: a query/path parameter failed validation.
+	// CodeInvalidArgument: a query/path parameter failed validation, or a
+	// triples body is not valid UTF-8.
 	CodeInvalidArgument = "invalid_argument"
 	// CodeParse: a request body failed to parse (N-Triples or SPARQL).
 	CodeParse = "parse_error"

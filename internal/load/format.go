@@ -261,15 +261,7 @@ func parseTurtleSlab(sd *dict.Sharded, sl turtle.Slab) (slabTriples, error) {
 	if err != nil {
 		return slabTriples{}, err
 	}
-	cache := make(map[rdf.Term]dict.ProvID, 64)
-	observe := func(t rdf.Term, k uint64) dict.ProvID {
-		if p, ok := cache[t]; ok {
-			return p
-		}
-		p := sd.Observe(t, k)
-		cache[t] = p
-		return p
-	}
+	observe := newSlabCache(sd).observe
 	triples := make([]provTriple, 0, len(ts))
 	for ord, t := range ts {
 		triples = append(triples, provTriple{

@@ -11,8 +11,10 @@
 //  2. Parse+observe — GOMAXPROCS workers parse slabs concurrently
 //     (ntriples.ParseSlab keeps exact per-line error positions) and
 //     intern terms into a sharded concurrent dictionary (dict.Sharded),
-//     recording each term's first occurrence position. Triples are held
-//     as provisional 12-byte records.
+//     recording each term's first occurrence position. Lines are parsed
+//     in place; only a term new to the dictionary is copied, so no slab
+//     outlives its parse. Triples are held as provisional 12-byte
+//     records.
 //  3. Renumber — dict.Sharded.Finalize assigns dense 1..MaxID IDs in
 //     first-occurrence order, reproducing exactly the IDs a sequential
 //     load would have issued (the dense space downstream code depends on).
@@ -225,21 +227,44 @@ func parallel(r io.Reader, workers, slabBytes int) (*store.Graph, error) {
 	return assemble(g, remap, st.results, workers), nil
 }
 
-// parseSlab parses one slab into provisional triples. The slab-local
-// cache keeps hot terms (properties, classes) off the shard locks; since
-// occurrence keys grow monotonically within a slab, the first observation
-// per slab carries the slab's minimum key, so the global minimum is still
-// found across slabs.
-func parseSlab(sd *dict.Sharded, slab ntriples.Slab) (slabTriples, error) {
-	cache := make(map[rdf.Term]dict.ProvID, 64)
-	observe := func(t rdf.Term, k uint64) dict.ProvID {
-		if p, ok := cache[t]; ok {
-			return p
-		}
-		p := sd.Observe(t, k)
-		cache[t] = p
-		return p
+// slabCache is a slab-local front for dict.Sharded: it keeps hot terms
+// (properties, classes) off the shard locks. Entries are keyed by the
+// term's Sharded hash, computed once per occurrence and reused by
+// ObserveHash on a miss. Its terms alias the slab, so it must not outlive
+// the slab's parse; the dictionary keeps copies of its own.
+type slabCache struct {
+	sd      *dict.Sharded
+	entries map[uint64]cachedTerm
+}
+
+type cachedTerm struct {
+	t rdf.Term
+	p dict.ProvID
+}
+
+func newSlabCache(sd *dict.Sharded) *slabCache {
+	return &slabCache{sd: sd, entries: make(map[uint64]cachedTerm, 64)}
+}
+
+// observe interns t at occurrence key k. Since occurrence keys grow
+// monotonically within a slab, the first observation per slab carries
+// the slab's minimum key, so the global minimum is still found across
+// slabs. Two terms with one hash just take turns in the entry.
+func (c *slabCache) observe(t rdf.Term, k uint64) dict.ProvID {
+	h := c.sd.Hash(t)
+	if e, ok := c.entries[h]; ok && e.t == t {
+		return e.p
 	}
+	p := c.sd.ObserveHash(t, h, k)
+	c.entries[h] = cachedTerm{t: t, p: p}
+	return p
+}
+
+// parseSlab parses one slab into provisional triples. ntriples.ParseSlab
+// hands out terms that alias the slab; only the dictionary's first-insert
+// copies outlive this call.
+func parseSlab(sd *dict.Sharded, slab ntriples.Slab) (slabTriples, error) {
+	observe := newSlabCache(sd).observe
 	triples := make([]provTriple, 0, len(slab.Data)/64)
 	err := ntriples.ParseSlab(slab, func(lineNo int, t rdf.Triple) error {
 		triples = append(triples, provTriple{

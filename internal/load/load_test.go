@@ -6,13 +6,17 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
+	"unsafe"
 
 	"rdfsum/internal/bsbm"
 	"rdfsum/internal/dict"
 	"rdfsum/internal/lubm"
 	"rdfsum/internal/ntriples"
+	"rdfsum/internal/rdf"
 	"rdfsum/internal/store"
 )
 
@@ -239,5 +243,84 @@ func TestDefaultOptions(t *testing.T) {
 	}
 	if g.NumEdges() != 1 {
 		t.Fatalf("expected 1 triple, got %d", g.NumEdges())
+	}
+}
+
+// TestParallelLoadKeepsNoSlab: ParseSlab hands out terms that alias the
+// slab, and the dictionary copies a term only when it first inserts it.
+// So after a parallel load no dictionary term's string data may lie
+// inside a slab buffer: one such term would keep its whole slab alive.
+func TestParallelLoadKeepsNoSlab(t *testing.T) {
+	data := render(t, lubm.GenerateGraph(lubm.DefaultConfig(2)))
+	data = append(data, "_:b1 <http://e.org/p> \"v\"@en .\n"+
+		"_:b1 <http://e.org/p> \"7\"^^<http://e.org/t> .\n"+
+		"<http://e.org/\\u00e9> <http://e.org/p> \"esc\\n\" .\n"...)
+	var slabs []ntriples.Slab
+	if err := ntriples.SplitSlabs(bytes.NewReader(data), 4*1024, func(s ntriples.Slab) error {
+		slabs = append(slabs, s)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	// Parse the slabs on two workers, as the loader does.
+	sd := dict.NewSharded()
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := w; i < len(slabs); i += 2 {
+				if _, err := parseSlab(sd, slabs[i]); err != nil {
+					t.Error(err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	g := store.NewGraph()
+	sd.Finalize(g.Dict())
+
+	inSlab := func(s string) bool {
+		if s == "" {
+			return false
+		}
+		p := uintptr(unsafe.Pointer(unsafe.StringData(s)))
+		for _, sl := range slabs {
+			lo := uintptr(unsafe.Pointer(unsafe.SliceData(sl.Data)))
+			if p >= lo && p < lo+uintptr(cap(sl.Data)) {
+				return true
+			}
+		}
+		return false
+	}
+	d := g.Dict()
+	if d.Len() < 1000 {
+		t.Fatalf("only %d terms loaded", d.Len())
+	}
+	for id := dict.ID(1); id <= d.MaxID(); id++ {
+		tm := d.Term(id)
+		if inSlab(tm.Value) || inSlab(tm.Datatype) || inSlab(tm.Lang) {
+			t.Fatalf("dictionary term %d (%v) points into a slab buffer", id, tm)
+		}
+	}
+	runtime.KeepAlive(slabs)
+}
+
+// TestLoadRejectsInvalidUTF8: a term that is not UTF-8 fails every load
+// path with rdf.ErrInvalidUTF8. These two IRIs used to load as one node.
+func TestLoadRejectsInvalidUTF8(t *testing.T) {
+	docs := map[Format]string{
+		FormatNTriples: "<http://ex/caf\xe9> <http://ex/p> <http://ex/o> .\n" +
+			"<http://ex/caf\xe8> <http://ex/p> <http://ex/o> .\n",
+		FormatTurtle: "@prefix ex: <http://ex/> .\n<http://ex/caf\xe9> ex:p ex:o .\n<http://ex/caf\xe8> ex:p ex:o .\n",
+	}
+	for format, doc := range docs {
+		for _, workers := range []int{1, 2} {
+			_, err := Reader(strings.NewReader(doc), Options{Workers: workers, Format: format})
+			if !errors.Is(err, rdf.ErrInvalidUTF8) {
+				t.Errorf("%v, workers=%d: got %v, want rdf.ErrInvalidUTF8", format, workers, err)
+			}
+		}
 	}
 }

@@ -20,6 +20,8 @@ const DefaultSlabBytes = 1 << 20
 // newline boundaries so that slabs can be parsed independently and in
 // parallel. StartLine is the 1-based line number of the first line in
 // Data, letting ParseSlab report exact positions from any slab.
+// SplitSlabs allocates every slab's Data afresh and never writes to it
+// after emitting it.
 type Slab struct {
 	Index     int    // 0-based slab sequence number
 	StartLine int    // 1-based global line number of Data's first line
@@ -94,6 +96,11 @@ func tooLongMsg() string {
 // ParseSlab parses every line of one slab, calling fn for each triple with
 // its global 1-based line number. Blank and comment lines are skipped,
 // exactly as in ParseFunc. Errors carry the global line number.
+//
+// Lines are parsed in place and nothing is copied: the term strings of the
+// triple passed to fn point into s.Data and are valid only during the
+// call. A callee that keeps a term must copy it (rdf.Term.Clone), and
+// s.Data must not be modified while ParseSlab runs.
 func ParseSlab(s Slab, fn func(lineNo int, t rdf.Triple) error) error {
 	data := s.Data
 	lineNo := s.StartLine
@@ -110,7 +117,7 @@ func ParseSlab(s Slab, fn func(lineNo int, t rdf.Triple) error) error {
 		if n := len(raw); n > 0 && raw[n-1] == '\r' {
 			raw = raw[:n-1] // match bufio.ScanLines' CR stripping
 		}
-		t, ok, err := parseLine(string(raw), lineNo)
+		t, ok, err := parseLine(bytesString(raw), lineNo, false)
 		if err != nil {
 			return err
 		}

@@ -183,3 +183,85 @@ func sanitizeIRI(s string) string {
 		return r
 	}, s)
 }
+
+// parseOneSlab parses doc as a single slab, cloning each triple's terms
+// as ParseSlab's contract requires of callers that keep them.
+func parseOneSlab(doc string) ([]rdf.Triple, error) {
+	var out []rdf.Triple
+	err := ParseSlab(Slab{StartLine: 1, Data: []byte(doc)}, func(_ int, t rdf.Triple) error {
+		out = append(out, rdf.Triple{S: t.S.Clone(), P: t.P.Clone(), O: t.O.Clone()})
+		return nil
+	})
+	return out, err
+}
+
+// TestParseRejectsInvalidUTF8: a byte sequence that is not UTF-8 inside
+// any term is a ParseError naming the line and the byte's column, on both
+// the streaming and the slab parser. Decoding such bytes to U+FFFD used
+// to merge distinct terms: <http://ex/caf\xe9> and <http://ex/caf\xe8>
+// loaded as one node.
+func TestParseRejectsInvalidUTF8(t *testing.T) {
+	const ok = "<http://ex/s> <http://ex/p> <http://ex/o> .\n"
+	for _, tc := range []struct {
+		name, line, col string
+	}{
+		{"iri", "<http://ex/caf\xe9> <http://ex/p> <http://ex/o> .", "column 15"},
+		{"iri-after-escape", "<http://ex/\\u00e9\xe8> <http://ex/p> <http://ex/o> .", "column 18"},
+		{"datatype", "<http://ex/s> <http://ex/p> \"1\"^^<http://ex/t\xff> .", "column 46"},
+		{"literal", "<http://ex/s> <http://ex/p> \"caf\xe9\" .", "column 33"},
+		{"literal-after-escape", "<http://ex/s> <http://ex/p> \"\\n\xc3\" .", "column 32"},
+		{"lang", "<http://ex/s> <http://ex/p> \"x\"@en\xe9 .", "column 35"},
+		{"blank", "_:caf\xe9 <http://ex/p> <http://ex/o> .", "column 6"},
+		{"truncated-sequence", "<http://ex/\xe2\x82> <http://ex/p> <http://ex/o> .", "column 12"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			doc := ok + tc.line + "\n"
+			_, seqErr := ParseString(doc)
+			_, slabErr := parseOneSlab(doc)
+			for name, err := range map[string]error{"ParseFunc": seqErr, "ParseSlab": slabErr} {
+				var pe *ParseError
+				if !errors.As(err, &pe) {
+					t.Fatalf("%s: expected *ParseError, got %v", name, err)
+				}
+				if pe.Line != 2 || !strings.Contains(pe.Msg, "invalid UTF-8") || !strings.Contains(pe.Msg, tc.col) {
+					t.Fatalf("%s: got %q at line %d, want invalid UTF-8 at line 2, %s", name, pe.Msg, pe.Line, tc.col)
+				}
+				if !errors.Is(err, rdf.ErrInvalidUTF8) {
+					t.Fatalf("%s: %v does not match rdf.ErrInvalidUTF8", name, err)
+				}
+			}
+		})
+	}
+	// Valid multi-byte UTF-8, raw or escaped, still parses.
+	ts := mustParse(t, "<http://ex/café> <http://ex/p> \"naïve \\u00e9\"@fr .\n_:bé <http://ex/p> <http://ex/\\u00e9> .\n")
+	if ts[0].S.Value != "http://ex/café" || ts[0].O.Value != "naïve é" || ts[1].S.Value != "bé" || ts[1].O.Value != "http://ex/é" {
+		t.Fatalf("non-ASCII terms parsed as %v", ts)
+	}
+}
+
+// TestParseFuncAllocsPerTerm: on escape-free ASCII lines ParseFunc
+// allocates one string per term and nothing per line.
+func TestParseFuncAllocsPerTerm(t *testing.T) {
+	doc := func(lines int) string {
+		var b strings.Builder
+		for i := 0; i < lines; i++ {
+			b.WriteString("<http://ex.org/s> <http://ex.org/p> \"literal value\"@en .\n")
+			b.WriteString("_:b1 <http://ex.org/p> <http://ex.org/o> .\n")
+		}
+		return b.String()
+	}
+	allocs := func(d string) float64 {
+		return testing.AllocsPerRun(20, func() {
+			if err := ParseFunc(strings.NewReader(d), func(rdf.Triple) error { return nil }); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	const lines = 2 * 100
+	perLine := (allocs(doc(101)) - allocs(doc(1))) / lines
+	t.Logf("%.2f allocations per line", perLine)
+	// Three terms a line, plus the language tag of every other line.
+	if perLine > 3.5 {
+		t.Fatalf("ParseFunc allocates %.2f times per line, want at most one per term string (3.5)", perLine)
+	}
+}

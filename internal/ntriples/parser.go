@@ -5,7 +5,11 @@
 // The parser is line-oriented and strict about term syntax but tolerant of
 // surrounding whitespace, blank lines and '#' comments. It supports the
 // full escape repertoire of the spec (\t \b \n \r \f \" \' \\ \uXXXX
-// \UXXXXXXXX) in both literals and IRIs.
+// \UXXXXXXXX) in both literals and IRIs. Terms must be valid UTF-8.
+//
+// Terms are scanned as byte spans of the input line: a term without
+// escapes is a substring of the line and costs no per-rune work. Only
+// escaped or malformed terms are decoded rune by rune.
 package ntriples
 
 import (
@@ -14,6 +18,7 @@ import (
 	"io"
 	"strings"
 	"unicode/utf8"
+	"unsafe"
 
 	"rdfsum/internal/rdf"
 )
@@ -22,11 +27,15 @@ import (
 type ParseError struct {
 	Line int
 	Msg  string
+	Err  error // classifying cause (rdf.ErrInvalidUTF8), or nil
 }
 
 func (e *ParseError) Error() string {
 	return fmt.Sprintf("ntriples: line %d: %s", e.Line, e.Msg)
 }
+
+// Unwrap returns the classifying cause, if any.
+func (e *ParseError) Unwrap() error { return e.Err }
 
 // Parse reads every triple from r. It fails fast on the first syntax error.
 func Parse(r io.Reader) ([]rdf.Triple, error) {
@@ -48,15 +57,17 @@ func ParseString(s string) ([]rdf.Triple, error) {
 
 // ParseFunc streams triples from r to fn, stopping at the first syntax
 // error or the first error returned by fn. This is the loading path used
-// for large files: no intermediate slice is built.
+// for large files: no intermediate slice is built. The terms passed to fn
+// own their memory: each line is parsed in the scanner's buffer and every
+// term string is copied out once, so a line costs no allocation of its
+// own.
 func ParseFunc(r io.Reader, fn func(rdf.Triple) error) error {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), MaxLineBytes)
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++
-		line := sc.Text()
-		t, ok, err := parseLine(line, lineNo)
+		t, ok, err := parseLine(bytesString(sc.Bytes()), lineNo, true)
 		if err != nil {
 			return err
 		}
@@ -78,9 +89,17 @@ func ParseFunc(r io.Reader, fn func(rdf.Triple) error) error {
 	return nil
 }
 
+// bytesString views b as a string without copying. The caller must not
+// modify b while the string, or any substring of it, is in use.
+func bytesString(b []byte) string {
+	return unsafe.String(unsafe.SliceData(b), len(b))
+}
+
 // parseLine parses a single line. ok is false for blank and comment lines.
-func parseLine(line string, lineNo int) (t rdf.Triple, ok bool, err error) {
-	p := &lineParser{in: line, line: lineNo}
+// With copyTerms false the terms alias line; with copyTerms true each term
+// string is a fresh copy.
+func parseLine(line string, lineNo int, copyTerms bool) (t rdf.Triple, ok bool, err error) {
+	p := &lineParser{in: line, line: lineNo, copyTerms: copyTerms}
 	p.skipWS()
 	if p.eof() || p.peek() == '#' {
 		return rdf.Triple{}, false, nil
@@ -116,13 +135,50 @@ func parseLine(line string, lineNo int) (t rdf.Triple, ok bool, err error) {
 }
 
 type lineParser struct {
-	in   string
-	pos  int
-	line int
+	in        string
+	pos       int
+	line      int
+	copyTerms bool // copy term spans out of in (in is a reused buffer)
 }
 
 func (p *lineParser) errorf(format string, args ...any) error {
 	return &ParseError{Line: p.line, Msg: fmt.Sprintf(format, args...)}
+}
+
+// invalidUTF8 reports the invalid UTF-8 byte at offset i of the line.
+func (p *lineParser) invalidUTF8(i int) error {
+	return &ParseError{
+		Line: p.line,
+		Msg:  fmt.Sprintf("invalid UTF-8 byte 0x%02x at column %d", p.in[i], i+1),
+		Err:  rdf.ErrInvalidUTF8,
+	}
+}
+
+// span returns in[i:j] as a term string.
+func (p *lineParser) span(i, j int) string {
+	if p.copyTerms {
+		return strings.Clone(p.in[i:j])
+	}
+	return p.in[i:j]
+}
+
+// plainEnd returns the index of the first delim at or after i when the
+// bytes before it are the term verbatim: no backslash, no blank inside an
+// IRI, valid UTF-8. Otherwise it returns -1, and the caller decodes the
+// term rune by rune, which also reports every error.
+func plainEnd(s string, i int, delim byte) int {
+	n := strings.IndexByte(s[i:], delim)
+	if n < 0 {
+		return -1
+	}
+	body := s[i : i+n]
+	if strings.IndexByte(body, '\\') >= 0 || !utf8.ValidString(body) {
+		return -1
+	}
+	if delim == '>' && (strings.IndexByte(body, ' ') >= 0 || strings.IndexByte(body, '\t') >= 0) {
+		return -1
+	}
+	return i + n
 }
 
 func (p *lineParser) eof() bool  { return p.pos >= len(p.in) }
@@ -152,6 +208,11 @@ func (p *lineParser) term() (rdf.Term, error) {
 
 func (p *lineParser) iriRef() (rdf.Term, error) {
 	p.pos++ // consume '<'
+	start := p.pos
+	if end := plainEnd(p.in, start, '>'); end > start {
+		p.pos = end + 1
+		return rdf.NewIRI(p.span(start, end)), nil
+	}
 	var b strings.Builder
 	for {
 		if p.eof() {
@@ -175,6 +236,9 @@ func (p *lineParser) iriRef() (rdf.Term, error) {
 			return rdf.Term{}, p.errorf("whitespace inside IRI")
 		default:
 			r, size := utf8.DecodeRuneInString(p.in[p.pos:])
+			if r == utf8.RuneError && size == 1 {
+				return rdf.Term{}, p.invalidUTF8(p.pos)
+			}
 			b.WriteRune(r)
 			p.pos += size
 		}
@@ -247,11 +311,19 @@ func (p *lineParser) blankNode() (rdf.Term, error) {
 	if p.pos == start {
 		return rdf.Term{}, p.errorf("empty blank node label")
 	}
-	return rdf.NewBlank(p.in[start:p.pos]), nil
+	if i := rdf.InvalidUTF8At(p.in[start:p.pos]); i >= 0 {
+		return rdf.Term{}, p.invalidUTF8(start + i)
+	}
+	return rdf.NewBlank(p.span(start, p.pos)), nil
 }
 
 func (p *lineParser) literal() (rdf.Term, error) {
 	p.pos++ // consume '"'
+	if end := plainEnd(p.in, p.pos, '"'); end >= 0 {
+		start := p.pos
+		p.pos = end + 1
+		return p.literalSuffix(p.span(start, end))
+	}
 	var b strings.Builder
 	for {
 		if p.eof() {
@@ -270,6 +342,9 @@ func (p *lineParser) literal() (rdf.Term, error) {
 			b.WriteRune(r)
 		default:
 			r, size := utf8.DecodeRuneInString(p.in[p.pos:])
+			if r == utf8.RuneError && size == 1 {
+				return rdf.Term{}, p.invalidUTF8(p.pos)
+			}
 			b.WriteRune(r)
 			p.pos += size
 		}
@@ -337,7 +412,10 @@ func (p *lineParser) literalSuffix(lexical string) (rdf.Term, error) {
 		if p.pos == start {
 			return rdf.Term{}, p.errorf("empty language tag")
 		}
-		return rdf.NewLangLiteral(lexical, p.in[start:p.pos]), nil
+		if r, size := utf8.DecodeRuneInString(p.in[p.pos:]); r == utf8.RuneError && size == 1 {
+			return rdf.Term{}, p.invalidUTF8(p.pos) // a broken byte ended the tag
+		}
+		return rdf.NewLangLiteral(lexical, p.span(start, p.pos)), nil
 	case '^':
 		if p.pos+1 >= len(p.in) || p.in[p.pos+1] != '^' {
 			return rdf.Term{}, p.errorf("expected \"^^\" before datatype IRI")

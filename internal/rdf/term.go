@@ -7,10 +7,35 @@
 package rdf
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
+	"unicode/utf8"
 )
+
+// ErrInvalidUTF8 classifies parse errors caused by bytes that are not
+// valid UTF-8 inside a term. RDF text is Unicode: decoding such bytes as
+// U+FFFD would silently merge distinct terms, so the parsers reject them.
+// Match with errors.Is.
+var ErrInvalidUTF8 = errors.New("invalid UTF-8")
+
+// InvalidUTF8At returns the byte offset of the first invalid UTF-8
+// sequence in s, or -1 when s is valid UTF-8.
+func InvalidUTF8At(s string) int {
+	for i := 0; i < len(s); {
+		if s[i] < utf8.RuneSelf {
+			i++
+			continue
+		}
+		r, size := utf8.DecodeRuneInString(s[i:])
+		if r == utf8.RuneError && size == 1 {
+			return i
+		}
+		i += size
+	}
+	return -1
+}
 
 // TermKind discriminates the three kinds of RDF terms.
 type TermKind uint8
@@ -71,6 +96,17 @@ func NewLangLiteral(lexical, lang string) Term {
 // NewTypedLiteral returns a datatyped literal term.
 func NewTypedLiteral(lexical, datatype string) Term {
 	return Term{Kind: Literal, Value: lexical, Datatype: datatype}
+}
+
+// Clone returns t with its strings copied, so that it no longer shares
+// memory with the buffer it was parsed from.
+func (t Term) Clone() Term {
+	return Term{
+		Kind:     t.Kind,
+		Value:    strings.Clone(t.Value),
+		Datatype: strings.Clone(t.Datatype),
+		Lang:     strings.Clone(t.Lang),
+	}
 }
 
 // IsIRI reports whether the term is an IRI.
@@ -140,16 +176,19 @@ func escapeLiteral(b *strings.Builder, s string) {
 	}
 }
 
-// escapeIRI writes an IRI, escaping the few characters disallowed between
-// angle brackets.
+// escapeIRI writes an IRI, escaping the characters disallowed between
+// angle brackets: controls, space and a few punctuation marks.
 func escapeIRI(b *strings.Builder, s string) {
 	for _, r := range s {
 		switch r {
 		case '<', '>', '"', '{', '}', '|', '^', '`', '\\':
-			fmt.Fprintf(b, "\\u%04X", r)
 		default:
-			b.WriteRune(r)
+			if r > ' ' {
+				b.WriteRune(r)
+				continue
+			}
 		}
+		fmt.Fprintf(b, "\\u%04X", r)
 	}
 }
 

@@ -37,6 +37,7 @@ func TestTermString(t *testing.T) {
 		{NewTypedLiteral("3", XSDInteger), `"3"^^<http://www.w3.org/2001/XMLSchema#integer>`},
 		{NewLiteral("a\"b\\c\nd\te\rf"), `"a\"b\\c\nd\te\rf"`},
 		{NewIRI("http://x/<odd>"), `<http://x/\u003Codd\u003E>`},
+		{NewIRI("http://x/a b\tc"), `<http://x/a\u0020b\u0009c>`}, // blanks are not allowed raw
 	}
 	for _, c := range cases {
 		if got := c.term.String(); got != c.want {

@@ -8,7 +8,7 @@
 // datatypes (quoted with " or """ long strings), and the numeric/boolean
 // shorthand (42, -3.14, 1e6, true, false). Not supported (rejected with a
 // clear error): anonymous blank nodes '[...]', collections '(...)', and
-// single-quoted strings.
+// single-quoted strings. Terms must be valid UTF-8.
 package turtle
 
 import (
@@ -25,11 +25,15 @@ import (
 type ParseError struct {
 	Line, Col int
 	Msg       string
+	Err       error // classifying cause (rdf.ErrInvalidUTF8), or nil
 }
 
 func (e *ParseError) Error() string {
 	return fmt.Sprintf("turtle: line %d:%d: %s", e.Line, e.Col, e.Msg)
 }
+
+// Unwrap returns the classifying cause, if any.
+func (e *ParseError) Unwrap() error { return e.Err }
 
 // Parse reads every triple of a Turtle document.
 func Parse(r io.Reader) ([]rdf.Triple, error) {
@@ -58,8 +62,13 @@ type parser struct {
 }
 
 func (p *parser) errorf(format string, args ...any) error {
+	return p.errorAt(p.pos, fmt.Sprintf(format, args...))
+}
+
+// errorAt returns a ParseError for offset i of the input.
+func (p *parser) errorAt(i int, msg string) *ParseError {
 	line, col := 1, 1
-	for _, r := range p.in[:p.pos] {
+	for _, r := range p.in[:i] {
 		if r == '\n' {
 			line++
 			col = 1
@@ -67,7 +76,21 @@ func (p *parser) errorf(format string, args ...any) error {
 			col++
 		}
 	}
-	return &ParseError{Line: line, Col: col, Msg: fmt.Sprintf(format, args...)}
+	return &ParseError{Line: line, Col: col, Msg: msg}
+}
+
+// invalidUTF8 reports the invalid UTF-8 byte at offset i.
+func (p *parser) invalidUTF8(i int) error {
+	err := p.errorAt(i, fmt.Sprintf("invalid UTF-8 byte 0x%02x", p.in[i]))
+	err.Err = rdf.ErrInvalidUTF8
+	return err
+}
+
+// badByte reports whether an invalid UTF-8 sequence starts at p.pos. The
+// name scanners stop at one; this tells that apart from an ordinary end.
+func (p *parser) badByte() bool {
+	r, size := utf8.DecodeRuneInString(p.in[p.pos:])
+	return r == utf8.RuneError && size == 1
 }
 
 func (p *parser) document(emit func(rdf.Triple)) error {
@@ -349,6 +372,9 @@ func (p *parser) literal() (rdf.Term, error) {
 			return rdf.Term{}, p.errorf("unterminated long string")
 		}
 		raw := p.in[p.pos : p.pos+end]
+		if i := rdf.InvalidUTF8At(raw); i >= 0 {
+			return rdf.Term{}, p.invalidUTF8(p.pos + i)
+		}
 		p.pos += end + 3
 		unescaped, err := p.unescape(raw)
 		if err != nil {
@@ -380,6 +406,9 @@ func (p *parser) literal() (rdf.Term, error) {
 				continue
 			}
 			r, size := utf8.DecodeRuneInString(p.in[p.pos:])
+			if r == utf8.RuneError && size == 1 {
+				return rdf.Term{}, p.invalidUTF8(p.pos)
+			}
 			b.WriteRune(r)
 			p.pos += size
 		}
@@ -400,6 +429,9 @@ func (p *parser) literal() (rdf.Term, error) {
 		}
 		if p.pos == start {
 			return rdf.Term{}, p.errorf("empty language tag")
+		}
+		if p.badByte() {
+			return rdf.Term{}, p.invalidUTF8(p.pos)
 		}
 		return rdf.NewLangLiteral(lex, p.in[start:p.pos]), nil
 	}
@@ -525,6 +557,9 @@ func (p *parser) iriRef() (string, error) {
 			return "", p.errorf("whitespace inside IRI")
 		default:
 			r, size := utf8.DecodeRuneInString(p.in[p.pos:])
+			if r == utf8.RuneError && size == 1 {
+				return "", p.invalidUTF8(p.pos)
+			}
 			b.WriteRune(r)
 			p.pos += size
 		}
@@ -553,6 +588,9 @@ func (p *parser) blankNode() (rdf.Term, error) {
 			continue
 		}
 		break
+	}
+	if p.badByte() {
+		return rdf.Term{}, p.invalidUTF8(p.pos)
 	}
 	if p.pos == start {
 		return rdf.Term{}, p.errorf("empty blank node label")
@@ -592,6 +630,9 @@ func (p *parser) prefixedName() (rdf.Term, error) {
 			}
 		}
 		break
+	}
+	if p.badByte() {
+		return rdf.Term{}, p.invalidUTF8(p.pos)
 	}
 	ns, ok := p.prefixes[prefix]
 	if !ok {

@@ -174,3 +174,39 @@ _:b0 <http://x/p> "3"^^<http://www.w3.org/2001/XMLSchema#integer> .
 		t.Errorf("N-Triples and Turtle disagree:\nnt:  %v\nttl: %v", nt, ttl)
 	}
 }
+
+// TestRejectsInvalidUTF8: a byte sequence that is not UTF-8 inside a term
+// is a ParseError at that byte's line and column, matching
+// rdf.ErrInvalidUTF8. Decoding such bytes to U+FFFD used to merge
+// ex:caf\xe9 and ex:caf\xe8 into one node.
+func TestRejectsInvalidUTF8(t *testing.T) {
+	const head = "@prefix ex: <http://ex.org/> .\n"
+	for _, tc := range []struct {
+		name, doc string
+		line, col int
+	}{
+		{"iri", "<http://ex.org/caf\xe9> ex:p ex:o .", 2, 19},
+		{"datatype", "ex:s ex:p \"1\"^^<http://ex.org/t\xff> .", 2, 32},
+		{"string", "ex:s ex:p \"caf\xe9\" .", 2, 15},
+		{"string-after-escape", "ex:s ex:p \"\\n\xc3\" .", 2, 14},
+		{"long-string", "ex:s ex:p \"\"\"a\nb\xe9\"\"\" .", 3, 2},
+		{"lang", "ex:s ex:p \"x\"@en\xe9 .", 2, 17},
+		{"blank", "_:caf\xe9 ex:p ex:o .", 2, 6},
+		{"prefixed-name", "ex:caf\xe9 ex:p ex:o .", 2, 7},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := ParseString(head + tc.doc + "\n")
+			var pe *ParseError
+			if !errors.As(err, &pe) {
+				t.Fatalf("expected *ParseError, got %v", err)
+			}
+			if pe.Line != tc.line || pe.Col != tc.col || !errors.Is(err, rdf.ErrInvalidUTF8) {
+				t.Fatalf("got %v, want invalid UTF-8 at %d:%d", err, tc.line, tc.col)
+			}
+		})
+	}
+	ts := mustParse(t, head+"ex:café ex:p \"naïve\"@fr, \"\"\"ü\"\"\" .\n_:bé ex:p <http://ex.org/ö> .\n")
+	if len(ts) != 3 || ts[0].S.Value != "http://ex.org/café" || ts[1].O.Value != "ü" || ts[2].O.Value != "http://ex.org/ö" {
+		t.Fatalf("non-ASCII terms parsed as %v", ts)
+	}
+}

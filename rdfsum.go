@@ -207,6 +207,12 @@ var (
 	ErrUnsupportedStream = compress.ErrUnsupported
 )
 
+// ErrInvalidUTF8 classifies parse errors caused by a term that is not
+// valid UTF-8 (a Latin-1 dump, say); match with errors.Is. The parsers
+// reject such input instead of decoding bytes to U+FFFD, which would
+// merge distinct terms.
+var ErrInvalidUTF8 = rdf.ErrInvalidUTF8
+
 // LoadOptions tunes the loading pipeline.
 type LoadOptions struct {
 	// Workers is the number of parse workers; 0 uses all CPUs
