@@ -19,7 +19,6 @@ import (
 
 	"rdfsum"
 	"rdfsum/internal/cliques"
-	"rdfsum/internal/core"
 	"rdfsum/internal/ntriples"
 	"rdfsum/internal/rdf"
 	"rdfsum/internal/samples"
@@ -136,32 +135,6 @@ func BenchmarkTable1Cliques(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationWeakIncrementalVsGlobal compares the paper's one-pass
-// weak algorithm (no clique materialization, §6) against the clique-based
-// construction — the design choice behind the paper's observation that
-// weak summaries build faster than strong ones.
-func BenchmarkAblationWeakIncrementalVsGlobal(b *testing.B) {
-	for _, products := range benchSizes {
-		g := bsbmGraph(b, products)
-		b.Run(fmt.Sprintf("incremental/products=%d", products), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := rdfsum.SummarizeWithOptions(g, rdfsum.Weak,
-					&rdfsum.Options{WeakAlgorithm: core.Incremental}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run(fmt.Sprintf("global/products=%d", products), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := rdfsum.SummarizeWithOptions(g, rdfsum.Weak,
-					&rdfsum.Options{WeakAlgorithm: core.Global}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkAblationSaturationShortcut compares computing W_{G∞} the
 // expensive way (saturate G, summarize) against the Prop. 5 shortcut
 // (summarize, saturate the small summary, resummarize).
@@ -188,25 +161,9 @@ func BenchmarkAblationSaturationShortcut(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationParallelWeak measures the shared-memory parallel weak
-// construction (the paper's future-work scalability direction) against
-// worker counts; workers=1 is the sequential baseline.
-func BenchmarkAblationParallelWeak(b *testing.B) {
-	g := bsbmGraph(b, 5000)
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := rdfsum.SummarizeWithOptions(g, rdfsum.Weak,
-					&rdfsum.Options{Workers: workers}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkStreamingBuilder measures the amortized per-triple cost of the
-// incremental weak builder (maintenance mode) against batch rebuilds.
+// incremental weak builder (maintenance mode) against summarizing the
+// whole graph afresh.
 func BenchmarkStreamingBuilder(b *testing.B) {
 	g := bsbmGraph(b, 1000)
 	decoded := g.Decode()
@@ -333,8 +290,8 @@ func BenchmarkLoadNTriples(b *testing.B) {
 
 // loadParallel loads N-Triples data through the loading pipeline.
 func loadParallel(b *testing.B, data []byte, workers int) {
-	if _, err := rdfsum.LoadNTriplesParallel(bytes.NewReader(data),
-		&rdfsum.LoadOptions{Workers: workers}); err != nil {
+	if _, err := rdfsum.Load(bytes.NewReader(data),
+		&rdfsum.LoadOptions{Workers: workers, Format: rdfsum.FormatNTriples}); err != nil {
 		b.Fatal(err)
 	}
 }

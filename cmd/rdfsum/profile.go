@@ -5,7 +5,6 @@ import (
 	"os"
 
 	"rdfsum"
-	"rdfsum/internal/core"
 	"rdfsum/internal/profile"
 )
 
@@ -28,7 +27,7 @@ func cmdProfile(args []string) error {
 	if err != nil {
 		return err
 	}
-	s, err := core.Summarize(g, kind, nil)
+	s, err := rdfsum.Summarize(g, kind)
 	if err != nil {
 		return err
 	}

@@ -17,35 +17,26 @@ import (
 // with the target representative (GETSOURCE / GETTARGET / MERGEDATANODES),
 // at O(α) amortized per triple. Weak equivalence classes only merge, so no
 // migration is ever needed under insertion; types are attached at snapshot
-// time by Algorithm 3 exactly as in the batch construction. A data
-// deletion, however, can split a class — unions are not invertible — so it
-// marks the driver dirty and the next snapshot pays one counted rebuild
-// over the surviving data triples (type and schema deletions are free).
+// time by Algorithm 3 (summarizeTypesWeak). A data deletion, however, can
+// split a class — unions are not invertible — so it marks the driver dirty
+// and the next snapshot pays one counted rebuild over the surviving data
+// triples (type and schema deletions are free).
 type weakDriver struct {
 	bs       *BuilderSet
-	uf       *unionfind.UF
-	elemOf   map[dict.ID]int32 // data node  -> forest element
-	srcElem  map[dict.ID]int32 // data property -> source element (dpSrc)
-	tgtElem  map[dict.ID]int32 // data property -> target element (dpTarg)
+	uf       unionfind.UF
+	elemOf   map[dict.ID]int32 // data node -> forest element
+	propElem map[dict.ID]int32 // data property -> source element e (dpSrc); its target (dpTarg) is e+1
 	dirty    bool
 	nRebuild uint64
 }
 
-func newWeakDriver(bs *BuilderSet) *weakDriver {
-	d := &weakDriver{bs: bs}
-	d.resetState()
-	return d
-}
-
 func (d *weakDriver) resetState() {
-	d.uf = &unionfind.UF{}
+	d.uf = unionfind.UF{}
 	d.elemOf = make(map[dict.ID]int32)
-	d.srcElem = make(map[dict.ID]int32)
-	d.tgtElem = make(map[dict.ID]int32)
+	d.propElem = make(map[dict.ID]int32)
 }
 
 func (d *weakDriver) kind() Kind                      { return Weak }
-func (d *weakDriver) needsAdjacency() bool            { return false }
 func (d *weakDriver) needsClasses() bool              { return false }
 func (d *weakDriver) rebuilds() uint64                { return d.nRebuild }
 func (d *weakDriver) typeAdded(typeEvent)             {}
@@ -53,18 +44,24 @@ func (d *weakDriver) typeDeleted(typeEvent)           {}
 func (d *weakDriver) dataDeleted(int32, store.Triple) { d.dirty = true }
 func (d *weakDriver) dataCompacted([]int32)           {}
 
-func (d *weakDriver) elem(m map[dict.ID]int32, key dict.ID) int32 {
-	if e, ok := m[key]; ok {
+func (d *weakDriver) node(n dict.ID) int32 {
+	if e, ok := d.elemOf[n]; ok {
 		return e
 	}
 	e := d.uf.Add()
-	m[key] = e
+	d.elemOf[n] = e
 	return e
 }
 
 func (d *weakDriver) feed(t store.Triple) {
-	d.uf.Union(d.elem(d.elemOf, t.S), d.elem(d.srcElem, t.P))
-	d.uf.Union(d.elem(d.elemOf, t.O), d.elem(d.tgtElem, t.P))
+	pe, ok := d.propElem[t.P]
+	if !ok {
+		pe = d.uf.Add()
+		d.uf.Add()
+		d.propElem[t.P] = pe
+	}
+	d.uf.Union(d.node(t.S), pe)
+	d.uf.Union(d.node(t.O), pe+1)
 }
 
 func (d *weakDriver) dataAdded(_ int32, t store.Triple) {
@@ -74,11 +71,11 @@ func (d *weakDriver) dataAdded(_ int32, t store.Triple) {
 	d.feed(t)
 }
 
-// rebuild reconstructs the union-find over the surviving data triples —
-// the deferred cost of a non-invertible deletion, paid at most once per
-// snapshot no matter how many deletions batched up before it.
+// rebuild constructs the union-find over the graph's data triples: the
+// seed of a new builder set, and the deferred cost of a non-invertible
+// deletion, paid at most once per snapshot no matter how many deletions
+// batched up before it.
 func (d *weakDriver) rebuild() {
-	d.nRebuild++
 	d.resetState()
 	for _, t := range d.bs.g.Data {
 		d.feed(t)
@@ -86,12 +83,18 @@ func (d *weakDriver) rebuild() {
 	d.dirty = false
 }
 
+// settle pays a pending deferred rebuild.
+func (d *weakDriver) settle() {
+	if d.dirty {
+		d.nRebuild++
+		d.rebuild()
+	}
+}
+
 // classCount reports the current number of weak equivalence classes among
 // nodes with data properties (cheap: no summary materialization).
 func (d *weakDriver) classCount() int {
-	if d.dirty {
-		d.rebuild()
-	}
+	d.settle()
 	roots := map[int32]bool{}
 	for _, e := range d.elemOf {
 		roots[d.uf.Find(e)] = true
@@ -100,19 +103,14 @@ func (d *weakDriver) classCount() int {
 }
 
 func (d *weakDriver) snapshot() *Summary {
-	if d.dirty {
-		d.rebuild()
-	}
+	d.settle()
 	g := d.bs.g
 	inProps := make(map[int32][]dict.ID)
 	outProps := make(map[int32][]dict.ID)
-	for p, e := range d.srcElem {
-		root := d.uf.Find(e)
-		outProps[root] = append(outProps[root], p)
-	}
-	for p, e := range d.tgtElem {
-		root := d.uf.Find(e)
-		inProps[root] = append(inProps[root], p)
+	for p, pe := range d.propElem {
+		src, tgt := d.uf.Find(pe), d.uf.Find(pe+1)
+		outProps[src] = append(outProps[src], p)
+		inProps[tgt] = append(inProps[tgt], p)
 	}
 	rep := newRepresenter(g, Weak)
 	nameOf := make(map[int32]dict.ID)
@@ -127,17 +125,9 @@ func (d *weakDriver) snapshot() *Summary {
 
 	out := store.NewGraphWithDict(g.Dict())
 	copySchema(g, out)
-	props := make([]dict.ID, 0, len(d.srcElem))
-	for p := range d.srcElem {
-		props = append(props, p)
-	}
-	sortIDs(props)
-	for _, p := range props {
-		out.Data = append(out.Data, store.Triple{
-			S: name(d.uf.Find(d.srcElem[p])),
-			P: p,
-			O: name(d.uf.Find(d.tgtElem[p])),
-		})
+	out.Data = make([]store.Triple, 0, len(d.propElem)) // one edge per property
+	for p, pe := range d.propElem {
+		out.Data = append(out.Data, store.Triple{S: name(d.uf.Find(pe)), P: p, O: name(d.uf.Find(pe + 1))})
 	}
 	nodeOf := make(map[dict.ID]dict.ID, len(d.elemOf))
 	for n, e := range d.elemOf {
@@ -145,6 +135,33 @@ func (d *weakDriver) snapshot() *Summary {
 	}
 	summarizeTypesWeak(g, out, rep, nodeOf)
 	return &Summary{Graph: out, NodeOf: nodeOf}
+}
+
+// summarizeTypesWeak is Algorithm 3, shared by the weak and strong
+// kinds: types of represented nodes attach to their representative;
+// typed-only resources (no data properties at all, hence TC = SC = ∅)
+// collapse into the single node Nτ = N(∅,∅) carrying all their classes.
+func summarizeTypesWeak(g *store.Graph, out *store.Graph, rep *representer, nodeOf map[dict.ID]dict.ID) {
+	v := g.Vocab()
+	typeEdges := make(map[store.Triple]bool)
+	var typedOnly []store.Triple
+	for _, t := range g.Types {
+		if d, ok := nodeOf[t.S]; ok {
+			typeEdges[store.Triple{S: d, P: v.Type, O: t.O}] = true
+			continue
+		}
+		typedOnly = append(typedOnly, t)
+	}
+	if len(typedOnly) > 0 {
+		ntau := rep.node(nil, nil)
+		for _, t := range typedOnly {
+			nodeOf[t.S] = ntau
+			typeEdges[store.Triple{S: ntau, P: v.Type, O: t.O}] = true
+		}
+	}
+	for e := range typeEdges {
+		out.Types = append(out.Types, e)
+	}
 }
 
 // WeakBuilder maintains a weak summary incrementally under triple
@@ -157,8 +174,8 @@ func (d *weakDriver) snapshot() *Summary {
 //	for _, t := range stream { b.Add(t) }
 //	s := b.Summary()          // snapshot; the builder stays usable
 //
-// Snapshots are identical to batch summaries of the same triple set (see
-// builder_test.go), so deletions are the only operation requiring a
+// Snapshots are identical to Summarize of the same triple set (see
+// builder_test.go); data deletions are the only operation requiring a
 // rebuild — merges are not invertible, as the paper's merge-based design
 // implies.
 type WeakBuilder struct {
@@ -198,7 +215,7 @@ func (b *WeakBuilder) Graph() *store.Graph { return b.set.Graph() }
 // Classes reports the current number of weak equivalence classes among
 // nodes with data properties (cheap: no summary materialization).
 func (b *WeakBuilder) Classes() int {
-	return b.set.byKind[Weak].(*weakDriver).classCount()
+	return b.set.driver(Weak).(*weakDriver).classCount()
 }
 
 // Summary materializes the current weak summary. The builder remains

@@ -18,7 +18,7 @@ import (
 // insertion order.
 func TestBuilderMatchesBatch(t *testing.T) {
 	for name, g := range sampleGraphs() {
-		batch := summarize(t, g, Weak)
+		batch := batchSummarize(g, Weak)
 		b := NewWeakBuilder()
 		decoded := g.Decode()
 		// Insert in reverse to exercise order independence.
@@ -39,7 +39,7 @@ func TestBuilderMatchesBatch(t *testing.T) {
 func TestBuilderMatchesBatchRandom(t *testing.T) {
 	f := func(seed uint64) bool {
 		g := datagen.RandomGraph(datagen.FromQuickSeed(seed))
-		batch := MustSummarize(g, Weak, nil)
+		batch := batchSummarize(g, Weak)
 		b := NewWeakBuilderWithGraph(g.CloneStructure())
 		inc := b.Summary()
 		return reflect.DeepEqual(batch.Graph.CanonicalStrings(), inc.Graph.CanonicalStrings())
@@ -61,7 +61,7 @@ func TestBuilderSnapshotsEvolve(t *testing.T) {
 		lastSummary = b.Summary()
 		// Each snapshot is a valid weak summary of the prefix: re-summarize
 		// its input and compare.
-		again := MustSummarize(b.Graph(), Weak, nil)
+		again := batchSummarize(b.Graph(), Weak)
 		if !reflect.DeepEqual(lastSummary.Graph.CanonicalStrings(), again.Graph.CanonicalStrings()) {
 			t.Fatalf("snapshot after %v is not the batch summary of the prefix", tr)
 		}
@@ -114,7 +114,7 @@ func TestBuilderContinuesAfterSnapshot(t *testing.T) {
 		b.Add(tr)
 	}
 	final := b.Summary()
-	batch := MustSummarize(store.FromTriples(triples), Weak, nil)
+	batch := batchSummarize(store.FromTriples(triples), Weak)
 	if !reflect.DeepEqual(final.Graph.CanonicalStrings(), batch.Graph.CanonicalStrings()) {
 		t.Error("builder diverged after a mid-stream snapshot")
 	}
@@ -145,7 +145,7 @@ func sameSummary(a, b *Summary) bool {
 func TestAllKindsBuilderMatchesBatch(t *testing.T) {
 	for name, g := range sampleGraphs() {
 		for _, kind := range Kinds {
-			batch := summarize(t, g, kind)
+			batch := batchSummarize(g, kind)
 			b, err := NewBuilder(kind)
 			if err != nil {
 				t.Fatal(err)
@@ -196,7 +196,7 @@ func TestAllKindsRandomInterleavingOracle(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				batch := MustSummarize(prefix, kind, nil)
+				batch := batchSummarize(prefix, kind)
 				if !sameSummary(batch, inc) {
 					t.Logf("seed %d: %v snapshot after %d triples differs from batch", seed, kind, i+1)
 					return false
@@ -239,7 +239,7 @@ func TestLateTypingTriggersRebuild(t *testing.T) {
 		if b.Rebuilds() == 0 {
 			t.Errorf("%v: late typing of a bridging node should force a rebuild", kind)
 		}
-		batch := MustSummarize(store.FromTriples(triples), kind, nil)
+		batch := batchSummarize(store.FromTriples(triples), kind)
 		if !sameSummary(batch, inc) {
 			t.Errorf("%v: post-rebuild summary differs from batch", kind)
 		}
@@ -278,7 +278,7 @@ func TestBuilderSetSharesOnePass(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		solo := MustSummarize(g, kind, nil)
+		solo := MustSummarize(g, kind)
 		if !reflect.DeepEqual(shared.Graph.CanonicalStrings(), solo.Graph.CanonicalStrings()) {
 			t.Errorf("%v: shared-set summary differs from standalone", kind)
 		}

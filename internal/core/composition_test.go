@@ -46,9 +46,9 @@ func TestTypedCompositionRandom(t *testing.T) {
 	f := func(seed uint64) bool {
 		g := datagen.RandomGraph(datagen.FromQuickSeed(seed))
 		for _, kind := range []Kind{TypedWeak, TypedStrong} {
-			direct := MustSummarize(g, kind, nil)
-			tb := MustSummarize(g, TypeBased, nil)
-			composed := MustSummarize(tb.Graph, kind, nil)
+			direct := MustSummarize(g, kind)
+			tb := MustSummarize(g, TypeBased)
+			composed := MustSummarize(tb.Graph, kind)
 			if !reflect.DeepEqual(direct.Graph.CanonicalStrings(), composed.Graph.CanonicalStrings()) {
 				t.Logf("seed %d kind %v: composition mismatch", seed, kind)
 				return false

@@ -20,10 +20,15 @@
 // content-addressed representation functions (see names.go), which makes
 // the paper's equalities — fixpoint (Prop. 2/6/9) and completeness
 // (Prop. 5/8) — literal triple-set equalities.
+//
+// Every summary is built by one construction, the incremental quotient
+// engine (engine.go): Summarize seeds it with a finished graph, and live
+// serving keeps it current under insertions and deletions.
 package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -129,34 +134,6 @@ func ParseKind(s string) (Kind, error) {
 	return 0, fmt.Errorf("core: unknown summary kind %q (accepted: %s)", s, strings.Join(forms, ", "))
 }
 
-// WeakAlgorithm selects between the two weak-summary constructions, which
-// produce identical summaries (cross-checked by tests) at different costs.
-type WeakAlgorithm int
-
-const (
-	// Incremental is the paper's one-pass merge algorithm (Algorithms
-	// 1–3): data triples are read one by one and source/target
-	// representatives are unified on the fly. Cliques are never
-	// materialized ("for the weak ones, this is not needed", §7).
-	Incremental WeakAlgorithm = iota
-	// Global first computes the property cliques (Definition 5) and then
-	// derives the weak equivalence classes as connected components of
-	// cliques linked through shared nodes. Used as an independent oracle
-	// and an ablation point.
-	Global
-)
-
-// Options tune summarization. The zero value is ready to use.
-type Options struct {
-	// WeakAlgorithm applies to Weak summaries only.
-	WeakAlgorithm WeakAlgorithm
-	// Workers > 1 builds Weak summaries with the shared-memory parallel
-	// construction (see parallel.go); it takes precedence over
-	// WeakAlgorithm. Other kinds ignore it. The result is identical to
-	// the sequential algorithms.
-	Workers int
-}
-
 // Summary is the result of summarizing a graph.
 type Summary struct {
 	// Kind records the construction used.
@@ -172,45 +149,20 @@ type Summary struct {
 	Stats Stats
 }
 
-// Summarize builds the summary of g of the requested kind.
-func Summarize(g *store.Graph, kind Kind, opts *Options) (*Summary, error) {
-	g.Ensure() // summarization walks every component
-	var o Options
-	if opts != nil {
-		o = *opts
+// Summarize builds the summary of g of the requested kind: the engine's
+// builder set for that one kind, seeded with g, and its snapshot. g is
+// read, not modified (only its dictionary gains the summary node names).
+func Summarize(g *store.Graph, kind Kind) (*Summary, error) {
+	set, err := NewBuilderSet(g, []Kind{kind})
+	if err != nil {
+		return nil, err
 	}
-	var s *Summary
-	switch kind {
-	case Weak:
-		switch {
-		case o.Workers > 1:
-			s = weakParallel(g, o.Workers)
-		case o.WeakAlgorithm == Global:
-			s = weakGlobal(g)
-		default:
-			s = weakIncremental(g)
-		}
-	case Strong:
-		s = strong(g)
-	case TypeBased:
-		s = typeBased(g)
-	case TypedWeak:
-		s = typedWeak(g)
-	case TypedStrong:
-		s = typedStrong(g)
-	default:
-		return nil, fmt.Errorf("core: unknown summary kind %d", int(kind))
-	}
-	s.Kind = kind
-	s.Input = g
-	s.Graph.SortDedup()
-	s.Stats = computeStats(g, s.Graph)
-	return s, nil
+	return set.Summary(kind)
 }
 
 // MustSummarize is Summarize for known-valid kinds; it panics on error.
-func MustSummarize(g *store.Graph, kind Kind, opts *Options) *Summary {
-	s, err := Summarize(g, kind, opts)
+func MustSummarize(g *store.Graph, kind Kind) *Summary {
+	s, err := Summarize(g, kind)
 	if err != nil {
 		panic(err)
 	}
@@ -226,7 +178,7 @@ func (s *Summary) Members() map[dict.ID][]dict.ID {
 	}
 	for rep := range out {
 		ids := out[rep]
-		sortIDs(ids)
+		slices.Sort(ids)
 		out[rep] = ids
 	}
 	return out
@@ -236,8 +188,4 @@ func (s *Summary) Members() map[dict.ID][]dict.ID {
 // schema triples of the input unchanged.
 func copySchema(in, out *store.Graph) {
 	out.Schema = append(out.Schema, in.Schema...)
-}
-
-func sortIDs(ids []dict.ID) {
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand/v2"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -83,7 +84,7 @@ func TestAllKindsDeleteInterleavingOracle(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				batch := MustSummarize(batchGraph, kind, nil)
+				batch := batchSummarize(batchGraph, kind)
 				if !sameSummary(batch, inc) {
 					t.Logf("seed %d: %v snapshot after step %d differs from batch over survivors", seed, kind, i)
 					return false
@@ -98,6 +99,90 @@ func TestAllKindsDeleteInterleavingOracle(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestSeededThenStreamedOracle covers the Summarize path followed by
+// maintenance: a builder set of every kind is seeded with a random prefix
+// of a random graph, then the rest streams in data first and types last —
+// so streamed types are late first types of seeded nodes — interleaved
+// with deletions of type and data triples. Those events make the drivers
+// build their adjacency index after the seed, which the empty-start
+// oracles never do. At random points every kind's snapshot (summary and
+// Stats) must equal the batch summary of the surviving triples.
+func TestSeededThenStreamedOracle(t *testing.T) {
+	typ := rdf.NewIRI(rdf.RDFType)
+	adjBuilt := 0
+	f := func(seed uint64) bool {
+		pool := datagen.RandomGraph(datagen.FromQuickSeed(seed)).Decode()
+		rng := rand.New(rand.NewPCG(seed, 0x5eed))
+		rng.Shuffle(len(pool), func(i, j int) { pool[i], pool[j] = pool[j], pool[i] })
+		cut := rng.IntN(len(pool) + 1)
+		prefix, rest := pool[:cut], pool[cut:]
+		sort.SliceStable(rest, func(i, j int) bool { return rest[i].P != typ && rest[j].P == typ })
+
+		set, err := NewBuilderSet(store.FromTriples(prefix), Kinds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		oracle := append([]rdf.Triple(nil), prefix...)
+		matches := func(step int) bool {
+			batchGraph := store.FromTriples(oracle)
+			for _, kind := range Kinds {
+				inc, err := set.Summary(kind)
+				if err != nil {
+					t.Fatal(err)
+				}
+				batch := batchSummarize(batchGraph, kind)
+				if !sameSummary(batch, inc) {
+					t.Logf("seed %d: %v snapshot at step %d differs from batch over survivors", seed, kind, step)
+					return false
+				}
+				if batch.Stats != inc.Stats {
+					t.Logf("seed %d: %v stats differ at step %d: batch %+v inc %+v", seed, kind, step, batch.Stats, inc.Stats)
+					return false
+				}
+			}
+			return true
+		}
+		if !matches(-1) {
+			return false
+		}
+		for i, tr := range rest {
+			set.Add(tr)
+			oracle = append(oracle, tr)
+			if rng.IntN(4) == 0 {
+				// Delete a surviving triple; every other time, a type
+				// triple if one survives.
+				dead := oracle[rng.IntN(len(oracle))]
+				if rng.IntN(2) == 0 {
+					var types []rdf.Triple
+					for _, o := range oracle {
+						if o.P == typ {
+							types = append(types, o)
+						}
+					}
+					if len(types) > 0 {
+						dead = types[rng.IntN(len(types))]
+					}
+				}
+				set.Delete(dead)
+				oracle = removeAllCopies(oracle, dead)
+			}
+			if (rng.IntN(5) == 0 || i == len(rest)-1) && !matches(i) {
+				return false
+			}
+		}
+		if set.adj != nil {
+			adjBuilt++
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+		t.Error(err)
+	}
+	if adjBuilt == 0 {
+		t.Error("no run built the adjacency index after seeding")
 	}
 }
 
@@ -148,7 +233,7 @@ func TestTypedDeletesAreExact(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !sameSummary(MustSummarize(batchGraph, kind, nil), inc) {
+		if !sameSummary(batchSummarize(batchGraph, kind), inc) {
 			t.Errorf("%v: post-delete summary differs from batch over survivors", kind)
 		}
 	}
@@ -205,7 +290,7 @@ func TestWeakBuilderDelete(t *testing.T) {
 		t.Fatalf("Delete removed %d copies, want 1", n)
 	}
 	oracle := removeAllCopies(samples.Fig2Triples(), dead)
-	batch := MustSummarize(store.FromTriples(oracle), Weak, nil)
+	batch := batchSummarize(store.FromTriples(oracle), Weak)
 	if !sameSummary(batch, b.Summary()) {
 		t.Fatal("weak summary after Delete differs from batch over survivors")
 	}

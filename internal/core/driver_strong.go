@@ -24,12 +24,7 @@ type strongDriver struct {
 	nRebuild uint64
 }
 
-func newStrongDriver(bs *BuilderSet) *strongDriver {
-	return &strongDriver{bs: bs, ct: newCliqueTracker(), edges: newEdgeTracker()}
-}
-
 func (d *strongDriver) kind() Kind            { return Strong }
-func (d *strongDriver) needsAdjacency() bool  { return true }
 func (d *strongDriver) needsClasses() bool    { return false }
 func (d *strongDriver) rebuilds() uint64      { return d.nRebuild }
 func (d *strongDriver) typeAdded(typeEvent)   {}
@@ -55,7 +50,10 @@ func (d *strongDriver) key(t store.Triple) edgeKey {
 	return edgeKey{s: d.ref(t.S), p: t.P, o: d.ref(t.O)}
 }
 
-func (d *strongDriver) feed(t store.Triple) {
+func (d *strongDriver) dataAdded(_ int32, t store.Triple) {
+	if d.dirty {
+		return
+	}
 	firstOut := d.ct.noteSubject(t.S, t.P)
 	firstIn := d.ct.noteObject(t.O, t.P)
 	if firstOut {
@@ -67,25 +65,25 @@ func (d *strongDriver) feed(t store.Triple) {
 	d.edges.append(d.key(t))
 }
 
-func (d *strongDriver) dataAdded(_ int32, t store.Triple) {
-	if d.dirty {
-		return
-	}
-	d.feed(t)
-}
-
+// rebuild derives the cliques and edge keys from the graph in two passes:
+// the first settles every node's clique pair, so the second keys each
+// triple once and no node is ever re-keyed.
 func (d *strongDriver) rebuild() {
-	d.nRebuild++
 	d.ct = newCliqueTracker()
+	for _, t := range d.bs.g.Data {
+		d.ct.noteSubject(t.S, t.P)
+		d.ct.noteObject(t.O, t.P)
+	}
 	d.edges.reset(len(d.bs.g.Data))
 	for _, t := range d.bs.g.Data {
-		d.feed(t)
+		d.edges.append(d.key(t))
 	}
 	d.dirty = false
 }
 
 func (d *strongDriver) snapshot() *Summary {
 	if d.dirty {
+		d.nRebuild++
 		d.rebuild()
 	}
 	g := d.bs.g

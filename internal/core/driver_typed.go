@@ -31,14 +31,9 @@ type typeBasedDriver struct {
 	edges *edgeTracker
 }
 
-func newTypeBasedDriver(bs *BuilderSet) *typeBasedDriver {
-	return &typeBasedDriver{bs: bs, edges: newEdgeTracker()}
-}
-
-func (d *typeBasedDriver) kind() Kind           { return TypeBased }
-func (d *typeBasedDriver) needsAdjacency() bool { return true }
-func (d *typeBasedDriver) needsClasses() bool   { return true }
-func (d *typeBasedDriver) rebuilds() uint64     { return 0 }
+func (d *typeBasedDriver) kind() Kind         { return TypeBased }
+func (d *typeBasedDriver) needsClasses() bool { return true }
+func (d *typeBasedDriver) rebuilds() uint64   { return 0 }
 
 func (d *typeBasedDriver) ref(n dict.ID) classRef {
 	if sid, ok := d.bs.classes.setOf[n]; ok {
@@ -49,6 +44,15 @@ func (d *typeBasedDriver) ref(n dict.ID) classRef {
 
 func (d *typeBasedDriver) key(t store.Triple) edgeKey {
 	return edgeKey{s: d.ref(t.S), p: t.P, o: d.ref(t.O)}
+}
+
+// rebuild keys every data triple by its endpoints' current classes. The
+// type-based driver is never dirty, so this only seeds a builder set.
+func (d *typeBasedDriver) rebuild() {
+	d.edges.reset(len(d.bs.g.Data))
+	for _, t := range d.bs.g.Data {
+		d.edges.append(d.key(t))
+	}
 }
 
 func (d *typeBasedDriver) dataAdded(_ int32, t store.Triple) {
@@ -82,11 +86,20 @@ func (d *typeBasedDriver) snapshot() *Summary {
 	g := d.bs.g
 	rep := newRepresenter(g, TypeBased)
 	classes := d.bs.classes
+	setName := classes.setNamer(rep)
+
+	nodeOf := make(map[dict.ID]dict.ID, len(classes.setOf))
+	for n, sid := range classes.setOf {
+		nodeOf[n] = setName(sid)
+	}
+	untypedCopies(g, nodeOf, rep)
+	// Every refNode key names an untyped endpoint of a live data triple,
+	// whose fresh copy untypedCopies just rendered.
 	name := func(r classRef) dict.ID {
 		if r.tag == refSet {
-			return rep.classSetNode(classes.classes[r.a])
+			return setName(r.a)
 		}
-		return rep.freshCopy(dict.ID(r.a))
+		return nodeOf[dict.ID(r.a)]
 	}
 
 	out := store.NewGraphWithDict(g.Dict())
@@ -94,29 +107,20 @@ func (d *typeBasedDriver) snapshot() *Summary {
 	for k := range d.edges.counts {
 		out.Data = append(out.Data, store.Triple{S: name(k.s), P: k.p, O: name(k.o)})
 	}
-
-	nodeOf := make(map[dict.ID]dict.ID, len(classes.setOf))
-	for n, sid := range classes.setOf {
-		nodeOf[n] = rep.classSetNode(classes.classes[sid])
-	}
-	untypedCopies(d.bs, nodeOf, rep)
-	classes.emitTypes(g, out, rep)
+	classes.emitTypes(g, out, setName)
 	return &Summary{Graph: out, NodeOf: nodeOf}
 }
 
-// untypedCopies extends nodeOf with the fresh-copy representatives of the
-// untyped data-triple endpoints (the batch constructions' lazy nodeFor).
-func untypedCopies(bs *BuilderSet, nodeOf map[dict.ID]dict.ID, rep *representer) {
-	add := func(n dict.ID) {
-		if _, ok := nodeOf[n]; !ok {
-			nodeOf[n] = rep.freshCopy(n)
+// untypedCopies extends nodeOf, which already holds every typed node, with
+// the fresh-copy representatives of the untyped data-triple endpoints.
+func untypedCopies(g *store.Graph, nodeOf map[dict.ID]dict.ID, rep *representer) {
+	for _, t := range g.Data {
+		if _, ok := nodeOf[t.S]; !ok {
+			nodeOf[t.S] = rep.freshCopy(t.S)
 		}
-	}
-	for n := range bs.adj.out {
-		add(n)
-	}
-	for n := range bs.adj.in {
-		add(n)
+		if _, ok := nodeOf[t.O]; !ok {
+			nodeOf[t.O] = rep.freshCopy(t.O)
+		}
 	}
 }
 
@@ -140,12 +144,6 @@ type typedWeakDriver struct {
 	nRebuild uint64
 }
 
-func newTypedWeakDriver(bs *BuilderSet) *typedWeakDriver {
-	d := &typedWeakDriver{bs: bs, edges: newEdgeTracker()}
-	d.resetState(0)
-	return d
-}
-
 func (d *typedWeakDriver) resetState(n int) {
 	d.uf = &unionfind.UF{}
 	d.elemOf = make(map[dict.ID]int32)
@@ -156,10 +154,9 @@ func (d *typedWeakDriver) resetState(n int) {
 	d.edges.reset(n)
 }
 
-func (d *typedWeakDriver) kind() Kind           { return TypedWeak }
-func (d *typedWeakDriver) needsAdjacency() bool { return true }
-func (d *typedWeakDriver) needsClasses() bool   { return true }
-func (d *typedWeakDriver) rebuilds() uint64     { return d.nRebuild }
+func (d *typedWeakDriver) kind() Kind         { return TypedWeak }
+func (d *typedWeakDriver) needsClasses() bool { return true }
+func (d *typedWeakDriver) rebuilds() uint64   { return d.nRebuild }
 
 func (d *typedWeakDriver) elem(m map[dict.ID]int32, key dict.ID) int32 {
 	if e, ok := m[key]; ok {
@@ -191,21 +188,22 @@ func (d *typedWeakDriver) key(t store.Triple) edgeKey {
 	return edgeKey{s: d.ref(t.S), p: t.P, o: d.ref(t.O)}
 }
 
-func (d *typedWeakDriver) feed(t store.Triple) {
+// note unions t's untyped endpoints into the weak structure.
+func (d *typedWeakDriver) note(t store.Triple) {
 	if !d.bs.classes.isTyped(t.S) {
 		d.noteUntyped(t.S, t.P, 0, d.srcElem)
 	}
 	if !d.bs.classes.isTyped(t.O) {
 		d.noteUntyped(t.O, t.P, 1, d.tgtElem)
 	}
-	d.edges.append(d.key(t))
 }
 
 func (d *typedWeakDriver) dataAdded(_ int32, t store.Triple) {
 	if d.dirty {
 		return
 	}
-	d.feed(t)
+	d.note(t)
+	d.edges.append(d.key(t))
 }
 
 func (d *typedWeakDriver) typeAdded(ev typeEvent) {
@@ -262,27 +260,32 @@ func (d *typedWeakDriver) typeDeleted(ev typeEvent) {
 	}
 	n := ev.node
 	if !d.bs.classes.isTyped(n) {
-		for _, i := range d.bs.adj.out[n] {
+		adj := d.bs.adjacency()
+		for _, i := range adj.out[n] {
 			d.noteUntyped(n, d.bs.g.Data[i].P, 0, d.srcElem)
 		}
-		for _, i := range d.bs.adj.in[n] {
+		for _, i := range adj.in[n] {
 			d.noteUntyped(n, d.bs.g.Data[i].P, 1, d.tgtElem)
 		}
 	}
 	rekeyIncident(d.bs, d.edges, n, d.key)
 }
 
+// rebuild derives the weak structure over the untyped endpoints and keys
+// each data triple once. One pass suffices: an untyped node's key is its
+// own forest element, which later unions never change.
 func (d *typedWeakDriver) rebuild() {
-	d.nRebuild++
 	d.resetState(len(d.bs.g.Data))
 	for _, t := range d.bs.g.Data {
-		d.feed(t)
+		d.note(t)
+		d.edges.append(d.key(t))
 	}
 	d.dirty = false
 }
 
 func (d *typedWeakDriver) snapshot() *Summary {
 	if d.dirty {
+		d.nRebuild++
 		d.rebuild()
 	}
 	g := d.bs.g
@@ -309,9 +312,10 @@ func (d *typedWeakDriver) snapshot() *Summary {
 		names[root] = id
 		return id
 	}
+	setName := classes.setNamer(rep)
 	name := func(r classRef) dict.ID {
 		if r.tag == refSet {
-			return rep.classSetNode(classes.classes[r.a])
+			return setName(r.a)
 		}
 		return weakName(r.a)
 	}
@@ -324,12 +328,12 @@ func (d *typedWeakDriver) snapshot() *Summary {
 
 	nodeOf := make(map[dict.ID]dict.ID, len(classes.setOf)+len(d.elemOf))
 	for n, sid := range classes.setOf {
-		nodeOf[n] = rep.classSetNode(classes.classes[sid])
+		nodeOf[n] = setName(sid)
 	}
 	for n, e := range d.elemOf {
 		nodeOf[n] = weakName(e)
 	}
-	classes.emitTypes(g, out, rep)
+	classes.emitTypes(g, out, setName)
 	return &Summary{Graph: out, NodeOf: nodeOf}
 }
 
@@ -343,14 +347,9 @@ type typedStrongDriver struct {
 	nRebuild uint64
 }
 
-func newTypedStrongDriver(bs *BuilderSet) *typedStrongDriver {
-	return &typedStrongDriver{bs: bs, ct: newCliqueTracker(), edges: newEdgeTracker()}
-}
-
-func (d *typedStrongDriver) kind() Kind           { return TypedStrong }
-func (d *typedStrongDriver) needsAdjacency() bool { return true }
-func (d *typedStrongDriver) needsClasses() bool   { return true }
-func (d *typedStrongDriver) rebuilds() uint64     { return d.nRebuild }
+func (d *typedStrongDriver) kind() Kind         { return TypedStrong }
+func (d *typedStrongDriver) needsClasses() bool { return true }
+func (d *typedStrongDriver) rebuilds() uint64   { return d.nRebuild }
 
 func (d *typedStrongDriver) ref(n dict.ID) classRef {
 	if sid, ok := d.bs.classes.setOf[n]; ok {
@@ -364,14 +363,23 @@ func (d *typedStrongDriver) key(t store.Triple) edgeKey {
 	return edgeKey{s: d.ref(t.S), p: t.P, o: d.ref(t.O)}
 }
 
-func (d *typedStrongDriver) feed(t store.Triple) {
-	var firstOut, firstIn bool
+// note records t's untyped endpoints in the restricted cliques, reporting
+// which of them just acquired their first clique on that side.
+func (d *typedStrongDriver) note(t store.Triple) (firstOut, firstIn bool) {
 	if !d.bs.classes.isTyped(t.S) {
 		firstOut = d.ct.noteSubject(t.S, t.P)
 	}
 	if !d.bs.classes.isTyped(t.O) {
 		firstIn = d.ct.noteObject(t.O, t.P)
 	}
+	return firstOut, firstIn
+}
+
+func (d *typedStrongDriver) dataAdded(_ int32, t store.Triple) {
+	if d.dirty {
+		return
+	}
+	firstOut, firstIn := d.note(t)
 	if firstOut {
 		rekeyIncident(d.bs, d.edges, t.S, d.key)
 	}
@@ -379,13 +387,6 @@ func (d *typedStrongDriver) feed(t store.Triple) {
 		rekeyIncident(d.bs, d.edges, t.O, d.key)
 	}
 	d.edges.append(d.key(t))
-}
-
-func (d *typedStrongDriver) dataAdded(_ int32, t store.Triple) {
-	if d.dirty {
-		return
-	}
-	d.feed(t)
 }
 
 func (d *typedStrongDriver) typeAdded(ev typeEvent) {
@@ -435,28 +436,34 @@ func (d *typedStrongDriver) typeDeleted(ev typeEvent) {
 	}
 	n := ev.node
 	if !d.bs.classes.isTyped(n) {
-		for _, i := range d.bs.adj.out[n] {
+		adj := d.bs.adjacency()
+		for _, i := range adj.out[n] {
 			d.ct.noteSubject(n, d.bs.g.Data[i].P)
 		}
-		for _, i := range d.bs.adj.in[n] {
+		for _, i := range adj.in[n] {
 			d.ct.noteObject(n, d.bs.g.Data[i].P)
 		}
 	}
 	rekeyIncident(d.bs, d.edges, n, d.key)
 }
 
+// rebuild derives the restricted cliques in a first pass, so the second
+// keys each data triple once and no node is ever re-keyed.
 func (d *typedStrongDriver) rebuild() {
-	d.nRebuild++
 	d.ct = newCliqueTracker()
+	for _, t := range d.bs.g.Data {
+		d.note(t)
+	}
 	d.edges.reset(len(d.bs.g.Data))
 	for _, t := range d.bs.g.Data {
-		d.feed(t)
+		d.edges.append(d.key(t))
 	}
 	d.dirty = false
 }
 
 func (d *typedStrongDriver) snapshot() *Summary {
 	if d.dirty {
+		d.nRebuild++
 		d.rebuild()
 	}
 	g := d.bs.g
@@ -488,9 +495,10 @@ func (d *typedStrongDriver) snapshot() *Summary {
 		names[key] = id
 		return id
 	}
+	setName := classes.setNamer(rep)
 	name := func(r classRef) dict.ID {
 		if r.tag == refSet {
-			return rep.classSetNode(classes.classes[r.a])
+			return setName(r.a)
 		}
 		return cliqueName(r.a, r.b)
 	}
@@ -503,11 +511,11 @@ func (d *typedStrongDriver) snapshot() *Summary {
 
 	nodeOf := make(map[dict.ID]dict.ID, len(classes.setOf)+len(d.ct.nodes))
 	for n, sid := range classes.setOf {
-		nodeOf[n] = rep.classSetNode(classes.classes[sid])
+		nodeOf[n] = setName(sid)
 	}
 	for n, st := range d.ct.nodes {
 		nodeOf[n] = cliqueName(st.repIn, st.repOut)
 	}
-	classes.emitTypes(g, out, rep)
+	classes.emitTypes(g, out, setName)
 	return &Summary{Graph: out, NodeOf: nodeOf}
 }

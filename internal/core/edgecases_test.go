@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"rdfsum/internal/dict"
 	"rdfsum/internal/lubm"
 	"rdfsum/internal/rdf"
 	"rdfsum/internal/samples"
@@ -20,7 +21,7 @@ func TestSelfLoops(t *testing.T) {
 		rdf.NewTriple(samples.IRI("n"), samples.IRI("loop"), samples.IRI("m")),
 	})
 	for _, kind := range []Kind{Weak, Strong, TypedWeak, TypedStrong} {
-		s := MustSummarize(g, kind, nil)
+		s := MustSummarize(g, kind)
 		n := lookup(t, g, "n")
 		m := lookup(t, g, "m")
 		// n is source and target of loop; m is target of loop: in every
@@ -40,7 +41,7 @@ func TestSelfLoops(t *testing.T) {
 			}
 		}
 		// Fixpoint survives self-loops.
-		ss := MustSummarize(s.Graph, kind, nil)
+		ss := MustSummarize(s.Graph, kind)
 		if !reflect.DeepEqual(s.Graph.CanonicalStrings(), ss.Graph.CanonicalStrings()) {
 			t.Errorf("%v: fixpoint violated on self-loop graph", kind)
 		}
@@ -57,7 +58,7 @@ func TestBlankNodeOnlyGraph(t *testing.T) {
 		rdf.NewTriple(b('2'), p, b('3')),
 		rdf.NewTriple(b('0'), rdf.Type(), samples.IRI("C")),
 	})
-	s := MustSummarize(g, Weak, nil)
+	s := MustSummarize(g, Weak)
 	if s.Stats.DataNodes != 2 { // all sources of p merge; all targets merge
 		t.Errorf("blank graph weak data nodes = %d, want 2", s.Stats.DataNodes)
 	}
@@ -75,9 +76,9 @@ func TestLUBMCompleteness(t *testing.T) {
 	cfg.DeptsPerUniversity = 2
 	g := lubm.GenerateGraph(cfg)
 	for _, kind := range []Kind{Weak, Strong} {
-		direct := MustSummarize(saturate.Graph(g), kind, nil)
-		s := MustSummarize(g, kind, nil)
-		cheap := MustSummarize(saturate.Graph(s.Graph), kind, nil)
+		direct := MustSummarize(saturate.Graph(g), kind)
+		s := MustSummarize(g, kind)
+		cheap := MustSummarize(saturate.Graph(s.Graph), kind)
 		if !reflect.DeepEqual(direct.Graph.CanonicalStrings(), cheap.Graph.CanonicalStrings()) {
 			t.Errorf("%v completeness violated on LUBM", kind)
 		}
@@ -86,9 +87,9 @@ func TestLUBMCompleteness(t *testing.T) {
 	// domains, so saturation types previously untyped publication
 	// authors' — the Fig. 8 mechanism on a realistic workload).
 	for _, kind := range []Kind{TypedWeak, TypedStrong} {
-		direct := MustSummarize(saturate.Graph(g), kind, nil)
-		s := MustSummarize(g, kind, nil)
-		cheap := MustSummarize(saturate.Graph(s.Graph), kind, nil)
+		direct := MustSummarize(saturate.Graph(g), kind)
+		s := MustSummarize(g, kind)
+		cheap := MustSummarize(saturate.Graph(s.Graph), kind)
 		if reflect.DeepEqual(direct.Graph.CanonicalStrings(), cheap.Graph.CanonicalStrings()) {
 			t.Logf("note: %v happened to commute with saturation on this LUBM instance", kind)
 		}
@@ -105,7 +106,7 @@ func TestMultiValuedAndSharedLiterals(t *testing.T) {
 		rdf.NewTriple(samples.IRI("b"), samples.IRI("q"), lit),
 		rdf.NewTriple(samples.IRI("c"), samples.IRI("q"), rdf.NewLiteral("other")),
 	})
-	s := MustSummarize(g, Weak, nil)
+	s := MustSummarize(g, Weak)
 	a := lookup(t, g, "a")
 	bID := lookup(t, g, "b")
 	c := lookup(t, g, "c")
@@ -136,5 +137,32 @@ func TestMultiValuedAndSharedLiterals(t *testing.T) {
 	// just confirm Prop. 4 still holds).
 	if s.Stats.DataEdges != 2 {
 		t.Errorf("weak data edges = %d, want 2 (one per property)", s.Stats.DataEdges)
+	}
+}
+
+// TestRepresentationInjective: the representation function N must keep
+// apart inputs whose renderings differ only by URI escaping. A literal
+// "a b" and a literal "a%20b" are two untyped nodes (two fresh copies in
+// the type-based summary), and the properties <…/q?r> and <…/q%3Fr>
+// give their subjects two different strong classes.
+func TestRepresentationInjective(t *testing.T) {
+	g := store.FromTriples([]rdf.Triple{
+		rdf.NewTriple(rdf.NewIRI("http://x/s1"), rdf.NewIRI("http://x/q?r"), rdf.NewLiteral("a b")),
+		rdf.NewTriple(rdf.NewIRI("http://x/s2"), rdf.NewIRI("http://x/q%3Fr"), rdf.NewLiteral("a%20b")),
+	})
+	for _, kind := range Kinds {
+		s := MustSummarize(g, kind)
+		// The two triples share no node and no property, so every kind
+		// keeps all four nodes apart.
+		if s.Stats.DataNodes != 4 {
+			t.Errorf("%v: %d summary data nodes for 4 unrelated input nodes", kind, s.Stats.DataNodes)
+		}
+		reps := map[dict.ID]bool{}
+		for _, rep := range s.NodeOf {
+			reps[rep] = true
+		}
+		if len(reps) != len(s.NodeOf) {
+			t.Errorf("%v: %d input nodes share %d representatives", kind, len(s.NodeOf), len(reps))
+		}
 	}
 }

@@ -17,7 +17,8 @@ package core
 //     acquiring its first source/target clique (strong kinds), its first
 //     type (typed kinds take the node out of the untyped partition), or a
 //     grown class set. Migrations re-key exactly the node's incident
-//     edges, using the adjacency index — O(degree), never O(|G|).
+//     edges, using the adjacency index (built on the first migration) —
+//     O(degree), never O(|G|).
 //   - A late-typed node that already related properties inside the
 //     untyped partition (typed-weak/typed-strong) cannot be removed from
 //     a union-find, so the affected driver marks itself dirty and
@@ -25,13 +26,19 @@ package core
 //     that costs O(|G|), counted and reported via Rebuilds. Streams that
 //     type nodes before giving them data edges never pay it.
 //
+// Seeding a builder with an existing graph is the drivers' rebuild: one
+// pass settles the equivalence structures over the whole data component,
+// a second keys each triple once, so a seeded driver never re-keys a node.
+// Summarize is exactly that seeding followed by one snapshot — the engine
+// is the library's only summary construction. Its tests compare every
+// snapshot with independent batch constructions kept as a test-only
+// oracle (batch_oracle_test.go).
+//
 // Snapshots are cheap and non-destructive: Summary() materializes the
-// current summary in O(state) — equivalence structures are read through
-// Find, never recomputed — and the builder keeps absorbing triples, which
+// current summary from the incremental state — equivalence structures are
+// read through Find, never recomputed; only the input size measures of
+// Stats scan the graph — and the builder keeps absorbing triples, which
 // is what makes the engine epoch-friendly for the live subsystem.
-// Every snapshot is bit-identical to the batch construction of the same
-// triple set (builder_test.go's interleaving oracle), so the batch
-// summarizers double as independent oracles.
 
 import (
 	"fmt"
@@ -76,10 +83,13 @@ type Builder interface {
 // incremental state.
 type driver interface {
 	kind() Kind
-	needsAdjacency() bool
 	needsClasses() bool
+	// rebuild derives the driver's whole state from the graph and the
+	// class-set tracker. It seeds a new builder set and pays a deferred
+	// rebuild (the caller counts the latter).
+	rebuild()
 	// dataAdded reacts to g.Data[i] == t, appended just now. The shared
-	// adjacency index does not yet contain t.
+	// adjacency index, if built, does not yet contain t.
 	dataAdded(i int32, t store.Triple)
 	// typeAdded reacts to an appended type triple, after the shared
 	// class-set tracker (if any) absorbed it.
@@ -100,124 +110,49 @@ type driver interface {
 	rebuilds() uint64
 }
 
-// inputStats maintains the input-side size measures incrementally, so a
-// snapshot never scans the accumulated graph just to fill Stats. The sets
-// are refcounted per triple incidence, which makes them exactly
-// decrementable under deletions.
-type inputStats struct {
-	dataNodes  map[dict.ID]int
-	classNodes map[dict.ID]int
-	dataProps  map[dict.ID]int
-}
-
-func newInputStats() *inputStats {
-	return &inputStats{
-		dataNodes:  make(map[dict.ID]int),
-		classNodes: make(map[dict.ID]int),
-		dataProps:  make(map[dict.ID]int),
-	}
-}
-
-func bump(m map[dict.ID]int, id dict.ID, by int) {
-	if c := m[id] + by; c > 0 {
-		m[id] = c
-	} else {
-		delete(m, id)
-	}
-}
-
-func (st *inputStats) data(t store.Triple) {
-	bump(st.dataNodes, t.S, 1)
-	bump(st.dataNodes, t.O, 1)
-	bump(st.dataProps, t.P, 1)
-}
-
-func (st *inputStats) dataRemoved(t store.Triple) {
-	bump(st.dataNodes, t.S, -1)
-	bump(st.dataNodes, t.O, -1)
-	bump(st.dataProps, t.P, -1)
-}
-
-func (st *inputStats) typ(t store.Triple) {
-	bump(st.dataNodes, t.S, 1)
-	bump(st.classNodes, t.O, 1)
-}
-
-func (st *inputStats) typRemoved(t store.Triple) {
-	bump(st.dataNodes, t.S, -1)
-	bump(st.classNodes, t.O, -1)
-}
-
-// compute fills Stats from the tracked input counters plus the (small)
-// summary graph; it matches computeStats on the same pair exactly.
-func (st *inputStats) compute(in, out *store.Graph) Stats {
-	return Stats{
-		InputTriples:       in.NumEdges(),
-		InputDataTriples:   len(in.Data),
-		InputTypeTriples:   len(in.Types),
-		InputSchemaTriples: len(in.Schema),
-		InputDataNodes:     len(st.dataNodes),
-		InputClassNodes:    len(st.classNodes),
-		InputDataProps:     len(st.dataProps),
-
-		DataNodes:     len(out.DataNodes()),
-		ClassNodes:    len(out.ClassNodes()),
-		AllNodes:      len(out.DataNodes()) + len(out.ClassNodes()),
-		PropertyNodes: len(out.PropertyNodes()),
-		DataEdges:     len(out.Data),
-		TypeEdges:     len(out.Types),
-		SchemaEdges:   len(out.Schema),
-		AllEdges:      out.NumEdges(),
-	}
-}
-
 // BuilderSet maintains several summary kinds over one shared graph with
-// one pass per inserted triple: the class-set tracker, the adjacency
-// index and the input statistics are computed once and shared by every
-// driver, instead of re-derived per kind.
+// one pass per inserted triple: the class-set tracker and the adjacency
+// index are computed once and shared by every driver, instead of
+// re-derived per kind.
 type BuilderSet struct {
 	g       *store.Graph
-	adj     *adjacency       // nil unless a driver re-represents nodes
+	adj     *adjacency       // nil until a driver re-represents a node
+	fed     int              // g.Data[:fed] has reached the drivers
 	classes *classSetTracker // nil unless a typed kind is maintained
-	stats   *inputStats
 	drivers []driver
-	byKind  [NumKinds]driver
 }
 
 // NewBuilderSet returns a builder set over g maintaining the given kinds
 // (deduplicated; the empty set is allowed and maintains nothing). The
 // graph is adopted, not copied: its existing triples seed the drivers —
-// type component first, so pre-typed nodes never look late-typed — and
-// later Add calls append to it.
+// the class sets absorb the type component first, then each driver
+// rebuilds over the data component — and later Add calls append to it.
 func NewBuilderSet(g *store.Graph, kinds []Kind) (*BuilderSet, error) {
-	bs := &BuilderSet{g: g, stats: newInputStats()}
+	bs := &BuilderSet{g: g}
 	for _, k := range kinds {
 		if int(k) < 0 || int(k) >= NumKinds {
 			return nil, fmt.Errorf("core: unknown summary kind %d", int(k))
 		}
-		if bs.byKind[k] != nil {
+		if bs.driver(k) != nil {
 			continue
 		}
+		// Drivers start empty: the seeding below is their first rebuild.
 		var d driver
 		switch k {
 		case Weak:
-			d = newWeakDriver(bs)
+			d = &weakDriver{bs: bs}
 		case Strong:
-			d = newStrongDriver(bs)
+			d = &strongDriver{bs: bs, edges: &edgeTracker{}}
 		case TypeBased:
-			d = newTypeBasedDriver(bs)
+			d = &typeBasedDriver{bs: bs, edges: &edgeTracker{}}
 		case TypedWeak:
-			d = newTypedWeakDriver(bs)
+			d = &typedWeakDriver{bs: bs, edges: &edgeTracker{}}
 		case TypedStrong:
-			d = newTypedStrongDriver(bs)
+			d = &typedStrongDriver{bs: bs, edges: &edgeTracker{}}
 		}
 		bs.drivers = append(bs.drivers, d)
-		bs.byKind[k] = d
 	}
 	for _, d := range bs.drivers {
-		if d.needsAdjacency() && bs.adj == nil {
-			bs.adj = newAdjacency()
-		}
 		if d.needsClasses() && bs.classes == nil {
 			bs.classes = newClassSetTracker()
 		}
@@ -225,15 +160,17 @@ func NewBuilderSet(g *store.Graph, kinds []Kind) (*BuilderSet, error) {
 	if len(bs.drivers) > 0 {
 		// Seeding walks both components, so a snapshot-backed graph must
 		// materialize first. With no maintained kinds there is nothing to
-		// seed (stats are only consumed through maintained summaries) and
-		// the graph can stay unmaterialized — the O(1) open path.
+		// seed and the graph can stay unmaterialized — the O(1) open path.
 		g.Ensure()
-		for i := range g.Types {
-			bs.feedType(int32(i))
+		if bs.classes != nil {
+			for _, t := range g.Types {
+				bs.classes.addType(t.S, t.O)
+			}
 		}
-		for i := range g.Data {
-			bs.feedData(int32(i))
+		for _, d := range bs.drivers {
+			d.rebuild()
 		}
+		bs.fed = len(g.Data)
 	}
 	return bs, nil
 }
@@ -241,11 +178,21 @@ func NewBuilderSet(g *store.Graph, kinds []Kind) (*BuilderSet, error) {
 // Graph exposes the shared accumulated graph.
 func (bs *BuilderSet) Graph() *store.Graph { return bs.g }
 
+// driver returns the driver maintaining kind, or nil.
+func (bs *BuilderSet) driver(kind Kind) driver {
+	for _, d := range bs.drivers {
+		if d.kind() == kind {
+			return d
+		}
+	}
+	return nil
+}
+
 // Kinds lists the maintained kinds in canonical order.
 func (bs *BuilderSet) Kinds() []Kind {
 	out := make([]Kind, 0, len(bs.drivers))
 	for _, k := range Kinds {
-		if bs.byKind[k] != nil {
+		if bs.driver(k) != nil {
 			out = append(out, k)
 		}
 	}
@@ -253,9 +200,7 @@ func (bs *BuilderSet) Kinds() []Kind {
 }
 
 // Maintains reports whether kind is maintained by this set.
-func (bs *BuilderSet) Maintains(kind Kind) bool {
-	return int(kind) >= 0 && int(kind) < NumKinds && bs.byKind[kind] != nil
-}
+func (bs *BuilderSet) Maintains(kind Kind) bool { return bs.driver(kind) != nil }
 
 // Add routes one string-level triple into the graph and every driver.
 func (bs *BuilderSet) Add(t rdf.Triple) {
@@ -285,18 +230,17 @@ func (bs *BuilderSet) route(d, ty int) {
 
 func (bs *BuilderSet) feedData(i int32) {
 	t := bs.g.Data[i]
-	bs.stats.data(t)
 	for _, d := range bs.drivers {
 		d.dataAdded(i, t)
 	}
 	if bs.adj != nil {
 		bs.adj.add(t, i)
 	}
+	bs.fed = int(i) + 1
 }
 
 func (bs *BuilderSet) feedType(i int32) {
 	t := bs.g.Types[i]
-	bs.stats.typ(t)
 	var ev typeEvent
 	if bs.classes != nil {
 		ev = bs.classes.addType(t.S, t.O)
@@ -372,7 +316,6 @@ func (bs *BuilderSet) DeleteBatch(triples []rdf.Triple) (int, []store.Triple) {
 				remap[i] = -1
 				removed++
 				hit[t] = true
-				bs.stats.dataRemoved(t)
 				for _, dr := range bs.drivers {
 					dr.dataDeleted(int32(i), t)
 				}
@@ -383,6 +326,7 @@ func (bs *BuilderSet) DeleteBatch(triples []rdf.Triple) (int, []store.Triple) {
 		}
 		if len(hit) > 0 {
 			bs.g.Data = kept
+			bs.fed = len(kept)
 			if bs.adj != nil {
 				bs.adj.remap(remap)
 			}
@@ -402,7 +346,6 @@ func (bs *BuilderSet) DeleteBatch(triples []rdf.Triple) (int, []store.Triple) {
 			if delTypes[t] {
 				removed++
 				hit[t] = true
-				bs.stats.typRemoved(t)
 			} else {
 				kept = append(kept, t)
 			}
@@ -462,14 +405,15 @@ func appendSortedTriples(out []store.Triple, set map[store.Triple]bool) []store.
 // Summary materializes the current summary of one maintained kind. The
 // set stays usable; snapshots are independent.
 func (bs *BuilderSet) Summary(kind Kind) (*Summary, error) {
-	if !bs.Maintains(kind) {
+	d := bs.driver(kind)
+	if d == nil {
 		return nil, fmt.Errorf("core: kind %v is not maintained by this builder set", kind)
 	}
-	s := bs.byKind[kind].snapshot()
+	s := d.snapshot()
 	s.Kind = kind
 	s.Input = bs.g
 	s.Graph.SortDedup()
-	s.Stats = bs.stats.compute(bs.g, s.Graph)
+	s.Stats = computeStats(bs.g, s.Graph)
 	return s, nil
 }
 
@@ -489,21 +433,29 @@ func (bs *BuilderSet) Summaries() (map[Kind]*Summary, error) {
 // Rebuilds counts the full state reconstructions kind has paid for
 // late-typing events (always 0 for weak, strong and type-based).
 func (bs *BuilderSet) Rebuilds(kind Kind) uint64 {
-	if !bs.Maintains(kind) {
-		return 0
+	if d := bs.driver(kind); d != nil {
+		return d.rebuilds()
 	}
-	return bs.byKind[kind].rebuilds()
+	return 0
+}
+
+// adjacency returns the endpoint index over the data triples fed so far,
+// building it on first use: only a node migration reads it, so a builder
+// set that just seeds and snapshots — Summarize — never pays for it.
+func (bs *BuilderSet) adjacency() *adjacency {
+	if bs.adj == nil {
+		bs.adj = newAdjacency()
+		for i, t := range bs.g.Data[:bs.fed] {
+			bs.adj.add(t, int32(i))
+		}
+	}
+	return bs.adj
 }
 
 // rekeyIncident re-keys every data triple incident to n using the
-// driver's key function — the migration primitive. Indexes beyond the
-// tracker's keys are triples not yet re-fed during a rebuild replay;
-// their keys are computed fresh when they are.
+// driver's key function — the migration primitive.
 func rekeyIncident(bs *BuilderSet, e *edgeTracker, n dict.ID, key func(store.Triple) edgeKey) {
-	bs.adj.each(n, func(i int32) {
-		if int(i) >= len(e.keys) {
-			return
-		}
+	bs.adjacency().each(n, func(i int32) {
 		e.rekey(i, key(bs.g.Data[i]))
 	})
 }

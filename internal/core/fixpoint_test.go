@@ -46,8 +46,8 @@ func TestFixpointPropertyRandom(t *testing.T) {
 	f := func(seed uint64) bool {
 		g := datagen.RandomGraph(datagen.FromQuickSeed(seed))
 		for _, kind := range []Kind{Weak, Strong, TypedWeak, TypedStrong} {
-			s := MustSummarize(g, kind, nil)
-			ss := MustSummarize(s.Graph, kind, nil)
+			s := MustSummarize(g, kind)
+			ss := MustSummarize(s.Graph, kind)
 			if !reflect.DeepEqual(s.Graph.CanonicalStrings(), ss.Graph.CanonicalStrings()) {
 				t.Logf("seed %d kind %v: fixpoint violated", seed, kind)
 				return false

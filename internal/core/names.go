@@ -100,14 +100,18 @@ func (r *representer) renderSet(ids []dict.ID) string {
 }
 
 // url lightly escapes characters that would make the generated URI
-// ambiguous inside angle brackets or query strings.
+// ambiguous inside angle brackets or query strings. '%' itself is escaped
+// too, or a rendered "%20" could stand for either ' ' or a literal "%20"
+// and N would not be injective.
 func url(s string) string {
-	if !strings.ContainsAny(s, " &?") {
+	if !strings.ContainsAny(s, " &?%") {
 		return s
 	}
 	var b strings.Builder
 	for _, c := range []byte(s) {
 		switch c {
+		case '%':
+			b.WriteString("%25")
 		case ' ':
 			b.WriteString("%20")
 		case '&':

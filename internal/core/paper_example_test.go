@@ -12,7 +12,7 @@ import (
 
 func summarize(t *testing.T, g *store.Graph, k Kind) *Summary {
 	t.Helper()
-	s, err := Summarize(g, k, nil)
+	s, err := Summarize(g, k)
 	if err != nil {
 		t.Fatalf("Summarize(%v): %v", k, err)
 	}

@@ -58,13 +58,11 @@ type edgeTracker struct {
 	keys   []edgeKey
 }
 
-func newEdgeTracker() *edgeTracker {
-	return &edgeTracker{counts: make(map[edgeKey]int)}
-}
-
 // reset clears the tracker for a driver rebuild over n data triples.
+// counts is left to grow: it holds one entry per distinct summary edge,
+// far fewer than n.
 func (e *edgeTracker) reset(n int) {
-	e.counts = make(map[edgeKey]int, n)
+	e.counts = make(map[edgeKey]int)
 	e.keys = make([]edgeKey, 0, n)
 }
 
@@ -268,16 +266,27 @@ func (c *classSetTracker) intern(set []dict.ID) int32 {
 	return sid
 }
 
+// setNamer returns C(X) by interned set ID, memoized for one snapshot so
+// each set's URI is rendered once rather than once per summary edge.
+func (c *classSetTracker) setNamer(rep *representer) func(sid int32) dict.ID {
+	names := make([]dict.ID, len(c.classes))
+	return func(sid int32) dict.ID {
+		if names[sid] == dict.None {
+			names[sid] = rep.classSetNode(c.classes[sid])
+		}
+		return names[sid]
+	}
+}
+
 // emitTypes adds, for every class set currently held by at least one node,
-// the triples C(X) τ c for each c ∈ X — the incremental counterpart of
-// emitClassSetTypes.
-func (c *classSetTracker) emitTypes(g, out *store.Graph, rep *representer) {
+// the triples C(X) τ c for each c ∈ X.
+func (c *classSetTracker) emitTypes(g, out *store.Graph, setName func(int32) dict.ID) {
 	v := g.Vocab()
 	for sid, count := range c.members {
 		if count <= 0 {
 			continue
 		}
-		node := rep.classSetNode(c.classes[sid])
+		node := setName(int32(sid))
 		for _, cls := range c.classes[sid] {
 			out.Types = append(out.Types, store.Triple{S: node, P: v.Type, O: cls})
 		}

@@ -38,7 +38,7 @@ func TestProperty4UniqueDataProperties(t *testing.T) {
 func TestWeakSizeBounds(t *testing.T) {
 	f := func(seed uint64) bool {
 		g := datagen.RandomGraph(datagen.FromQuickSeed(seed))
-		s := MustSummarize(g, Weak, nil)
+		s := MustSummarize(g, Weak)
 		nProps := len(g.DistinctDataProperties())
 		if s.Stats.DataEdges != nProps {
 			t.Logf("seed %d: weak data edges %d != distinct props %d", seed, s.Stats.DataEdges, nProps)
@@ -61,7 +61,7 @@ func TestWeakSizeBounds(t *testing.T) {
 func TestStrongSizeBounds(t *testing.T) {
 	f := func(seed uint64) bool {
 		g := datagen.RandomGraph(datagen.FromQuickSeed(seed))
-		s := MustSummarize(g, Strong, nil)
+		s := MustSummarize(g, Strong)
 		if s.Stats.DataNodes > s.Stats.InputDataNodes {
 			return false
 		}
@@ -77,11 +77,12 @@ func TestStrongSizeBounds(t *testing.T) {
 }
 
 // TestWeakIncrementalMatchesGlobal: the paper's one-pass algorithm and the
-// clique-based construction must produce identical summaries.
+// clique-based construction — the two batch oracles for the weak kind —
+// must produce identical summaries.
 func TestWeakIncrementalMatchesGlobal(t *testing.T) {
 	for name, g := range sampleGraphs() {
-		inc := MustSummarize(g, Weak, &Options{WeakAlgorithm: Incremental})
-		glo := MustSummarize(g, Weak, &Options{WeakAlgorithm: Global})
+		inc := batchSummarize(g, Weak)
+		glo := finishBatch(g, Weak, weakGlobal(g))
 		if !reflect.DeepEqual(inc.Graph.CanonicalStrings(), glo.Graph.CanonicalStrings()) {
 			t.Errorf("%s: incremental and global weak summaries differ", name)
 		}
@@ -91,8 +92,8 @@ func TestWeakIncrementalMatchesGlobal(t *testing.T) {
 	}
 	f := func(seed uint64) bool {
 		g := datagen.RandomGraph(datagen.FromQuickSeed(seed))
-		inc := MustSummarize(g, Weak, &Options{WeakAlgorithm: Incremental})
-		glo := MustSummarize(g, Weak, &Options{WeakAlgorithm: Global})
+		inc := batchSummarize(g, Weak)
+		glo := finishBatch(g, Weak, weakGlobal(g))
 		return reflect.DeepEqual(inc.Graph.CanonicalStrings(), glo.Graph.CanonicalStrings()) &&
 			reflect.DeepEqual(inc.NodeOf, glo.NodeOf)
 	}
@@ -107,7 +108,7 @@ func TestWeakIncrementalMatchesGlobal(t *testing.T) {
 func TestWeakEquivalenceIsCliqueConnectivity(t *testing.T) {
 	f := func(seed uint64) bool {
 		g := datagen.RandomGraph(datagen.FromQuickSeed(seed))
-		s := MustSummarize(g, Weak, nil)
+		s := MustSummarize(g, Weak)
 		bySrcProp := map[dict.ID]dict.ID{}
 		byTgtProp := map[dict.ID]dict.ID{}
 		for _, tr := range g.Data {
@@ -138,8 +139,8 @@ func TestWeakEquivalenceIsCliqueConnectivity(t *testing.T) {
 func TestStrongRefinesWeak(t *testing.T) {
 	f := func(seed uint64) bool {
 		g := datagen.RandomGraph(datagen.FromQuickSeed(seed))
-		w := MustSummarize(g, Weak, nil)
-		s := MustSummarize(g, Strong, nil)
+		w := MustSummarize(g, Weak)
+		s := MustSummarize(g, Strong)
 		// Map strong node -> weak node; it must be a function.
 		proj := map[dict.ID]dict.ID{}
 		for n, sn := range s.NodeOf {
@@ -160,8 +161,8 @@ func TestStrongRefinesWeak(t *testing.T) {
 func TestTypedStrongRefinesTypedWeak(t *testing.T) {
 	f := func(seed uint64) bool {
 		g := datagen.RandomGraph(datagen.FromQuickSeed(seed))
-		tw := MustSummarize(g, TypedWeak, nil)
-		ts := MustSummarize(g, TypedStrong, nil)
+		tw := MustSummarize(g, TypedWeak)
+		ts := MustSummarize(g, TypedStrong)
 		proj := map[dict.ID]dict.ID{}
 		for n, sn := range ts.NodeOf {
 			wn := tw.NodeOf[n]
@@ -182,7 +183,7 @@ func TestTypedStrongRefinesTypedWeak(t *testing.T) {
 func TestEmptyAndDegenerateGraphs(t *testing.T) {
 	empty := store.NewGraph()
 	for _, kind := range Kinds {
-		s := MustSummarize(empty, kind, nil)
+		s := MustSummarize(empty, kind)
 		if s.Graph.NumEdges() != 0 {
 			t.Errorf("%v summary of empty graph has %d edges", kind, s.Graph.NumEdges())
 		}
@@ -192,7 +193,7 @@ func TestEmptyAndDegenerateGraphs(t *testing.T) {
 		rdf.NewTriple(samples.IRI("A"), rdf.SubClassOf(), samples.IRI("B")),
 	})
 	for _, kind := range Kinds {
-		s := MustSummarize(schemaOnly, kind, nil)
+		s := MustSummarize(schemaOnly, kind)
 		if len(s.Graph.Schema) != 1 {
 			t.Errorf("%v summary dropped the schema component", kind)
 		}
@@ -205,7 +206,7 @@ func TestEmptyAndDegenerateGraphs(t *testing.T) {
 	})
 	// Weak/strong: all typed-only resources collapse into Nτ.
 	for _, kind := range []Kind{Weak, Strong} {
-		s := MustSummarize(typesOnly, kind, nil)
+		s := MustSummarize(typesOnly, kind)
 		if s.Stats.DataNodes != 1 {
 			t.Errorf("%v summary of types-only graph has %d data nodes, want 1 (Nτ)", kind, s.Stats.DataNodes)
 		}
@@ -215,7 +216,7 @@ func TestEmptyAndDegenerateGraphs(t *testing.T) {
 	}
 	// Typed kinds: {x,y} share C({C}); z gets C({D}).
 	for _, kind := range []Kind{TypeBased, TypedWeak, TypedStrong} {
-		s := MustSummarize(typesOnly, kind, nil)
+		s := MustSummarize(typesOnly, kind)
 		if s.Stats.DataNodes != 2 {
 			t.Errorf("%v summary of types-only graph has %d data nodes, want 2", kind, s.Stats.DataNodes)
 		}

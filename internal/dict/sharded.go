@@ -20,8 +20,7 @@ import (
 // Finalize then renumbers every term into the dense 1..MaxID space in
 // ascending first-occurrence order — exactly the IDs a sequential
 // encode-in-file-order pass would have assigned — so all downstream code
-// (including the 3·ID element trick of the parallel weak summarizer) sees
-// the dictionary it expects, bit-identical to a sequential load.
+// sees the dictionary it expects, bit-identical to a sequential load.
 type Sharded struct {
 	shards [numShards]shard
 	seed   maphash.Seed

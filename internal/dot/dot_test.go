@@ -27,7 +27,7 @@ func TestWriteBasics(t *testing.T) {
 }
 
 func TestWriteSummaryLabels(t *testing.T) {
-	s := core.MustSummarize(samples.Fig2(), core.TypedWeak, nil)
+	s := core.MustSummarize(samples.Fig2(), core.TypedWeak)
 	var buf bytes.Buffer
 	if err := Write(&buf, s.Graph, nil); err != nil {
 		t.Fatal(err)

@@ -188,7 +188,7 @@ func TestLiveDeleteInterleavingOracle(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			batch := core.MustSummarize(batchGraph, kind, nil)
+			batch := core.MustSummarize(batchGraph, kind)
 			if !reflect.DeepEqual(canonical(s.Graph), canonical(batch.Graph)) {
 				t.Logf("seed %d: %v summary diverges from batch over survivors", seed, kind)
 				return false
@@ -222,7 +222,7 @@ func TestLiveDeleteInterleavingOracle(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(canonical(s.Graph), canonical(core.MustSummarize(batchGraph, kind, nil).Graph)) {
+			if !reflect.DeepEqual(canonical(s.Graph), canonical(core.MustSummarize(batchGraph, kind).Graph)) {
 				t.Logf("seed %d: %v summary after replay diverges", seed, kind)
 				return false
 			}

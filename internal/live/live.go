@@ -119,7 +119,7 @@ type Snapshot struct {
 
 // summaryCell caches the most recent build of one summary kind, tagged
 // with the epoch it reflects. The mutex singleflights rebuilds of that
-// kind without blocking other kinds. lazyBuilds counts the full batch
+// kind without blocking other kinds. lazyBuilds counts the full
 // re-summarizations this cell has paid — 0 for a maintained kind under
 // normal operation, the observable "no full rebuild" guarantee.
 type summaryCell struct {
@@ -527,8 +527,9 @@ func (l *Live) installLocked(view *store.Graph, ix *store.Index) {
 // current epoch, along with the epoch it was built at. Maintained kinds
 // come from the incremental builder set when it still matches the
 // published epoch (no full pass over the graph); every other kind — or a
-// maintained kind raced by concurrent ingest — is rebuilt from the
-// epoch's frozen view. maxStale permits serving a cached summary up to
+// maintained kind raced by concurrent ingest — is summarized afresh from
+// the epoch's frozen view (core.Summarize: a one-kind builder set seeded
+// with the view). maxStale permits serving a cached summary up to
 // that many epochs old (0 = always current), the staleness policy a
 // serving layer exposes to its clients.
 func (l *Live) Summary(kind core.Kind, maxStale uint64) (*core.Summary, uint64, error) {
@@ -548,7 +549,7 @@ func (l *Live) Summary(kind core.Kind, maxStale uint64) (*core.Summary, uint64, 
 	}
 	if s == nil {
 		var err error
-		s, err = core.Summarize(snap.Graph, kind, nil)
+		s, err = core.Summarize(snap.Graph, kind)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -562,8 +563,8 @@ func (l *Live) Summary(kind core.Kind, maxStale uint64) (*core.Summary, uint64, 
 // builder set, provided no ingest has happened since epoch was published
 // (the builders always reflect the writer's head, which may be ahead of
 // the epoch a reader is entitled to). Returns nil when raced; the caller
-// falls back to a batch build of the frozen view — bit-identical by the
-// engine's construction.
+// falls back to summarizing the frozen view afresh — the same engine
+// seeded with the same triples, so the same summary.
 func (l *Live) fromBuilders(kind core.Kind, epoch uint64) *core.Summary {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -592,7 +593,7 @@ type KindStatus struct {
 	// CachedEpoch is the epoch of the last materialized summary (0 when
 	// none was served yet).
 	CachedEpoch uint64
-	// LazyBuilds counts full batch re-summarizations served for this
+	// LazyBuilds counts full re-summarizations served for this
 	// kind — the cost maintained kinds avoid (they stay at 0 barring a
 	// snapshot raced by concurrent ingest).
 	LazyBuilds uint64

@@ -320,7 +320,7 @@ func TestLiveWeakSummaryBitIdentical(t *testing.T) {
 	if epoch != l.Epoch() {
 		t.Fatalf("weak summary epoch %d, current %d", epoch, l.Epoch())
 	}
-	batch := core.MustSummarize(store.FromTriples(fed), core.Weak, nil)
+	batch := core.MustSummarize(store.FromTriples(fed), core.Weak)
 	if !reflect.DeepEqual(canonical(liveSum.Graph), canonical(batch.Graph)) {
 		t.Fatal("live weak summary is not bit-identical to the batch summary")
 	}
@@ -344,7 +344,7 @@ func TestLiveWeakSummaryBitIdentical(t *testing.T) {
 	if freshEpoch != l.Epoch() {
 		t.Fatalf("fresh read built at epoch %d, want %d", freshEpoch, l.Epoch())
 	}
-	batch2 := core.MustSummarize(store.FromTriples(append(fed, mkBatch(9999, 16)...)), core.Weak, nil)
+	batch2 := core.MustSummarize(store.FromTriples(append(fed, mkBatch(9999, 16)...)), core.Weak)
 	if !reflect.DeepEqual(canonical(fresh.Graph), canonical(batch2.Graph)) {
 		t.Fatal("refreshed live weak summary diverges from the batch summary")
 	}
@@ -366,7 +366,7 @@ func TestLiveOtherKindsLazyRebuild(t *testing.T) {
 		if epoch != l.Epoch() {
 			t.Fatalf("%v built at epoch %d, want %d", kind, epoch, l.Epoch())
 		}
-		batch := core.MustSummarize(store.FromTriples(mkBatch(0, 60)), kind, nil)
+		batch := core.MustSummarize(store.FromTriples(mkBatch(0, 60)), kind)
 		if !reflect.DeepEqual(canonical(s.Graph), canonical(batch.Graph)) {
 			t.Fatalf("%v: live summary diverges from batch", kind)
 		}
@@ -592,7 +592,7 @@ func TestLiveMaintainedAllKinds(t *testing.T) {
 			if epoch != l.Epoch() {
 				t.Fatalf("%v served at epoch %d, want %d", kind, epoch, l.Epoch())
 			}
-			batch := core.MustSummarize(store.FromTriples(fed), kind, nil)
+			batch := core.MustSummarize(store.FromTriples(fed), kind)
 			if !reflect.DeepEqual(canonical(s.Graph), canonical(batch.Graph)) {
 				t.Fatalf("%v: maintained summary diverges from batch", kind)
 			}
@@ -674,7 +674,7 @@ func TestLiveMaintainedReplay(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: %v", kind, err)
 		}
-		batch := core.MustSummarize(store.FromTriples(all), kind, nil)
+		batch := core.MustSummarize(store.FromTriples(all), kind)
 		if !reflect.DeepEqual(canonical(s.Graph), canonical(batch.Graph)) {
 			t.Fatalf("%v: replayed maintained summary diverges from batch", kind)
 		}
@@ -749,7 +749,7 @@ func TestLiveMaintainedStress(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		batch := core.MustSummarize(store.FromTriples(flattenBatches(batches, batchSize)), kind, nil)
+		batch := core.MustSummarize(store.FromTriples(flattenBatches(batches, batchSize)), kind)
 		if !reflect.DeepEqual(canonical(s.Graph), canonical(batch.Graph)) {
 			t.Fatalf("%v: post-stress summary diverges from batch", kind)
 		}

@@ -99,7 +99,7 @@ func TestLiveV2OpenLazy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch := core.MustSummarize(oracle, core.Weak, nil)
+	batch := core.MustSummarize(oracle, core.Weak)
 	if !reflect.DeepEqual(canonical(liveSum.Graph), canonical(batch.Graph)) {
 		t.Fatal("summary over a lazily opened store diverges from batch summary")
 	}
@@ -160,7 +160,7 @@ func TestLiveSpillOracle(t *testing.T) {
 	if _, _, err := mem.Summary(core.Weak, 0); err != nil {
 		t.Fatal(err)
 	}
-	batch := core.MustSummarize(store.FromTriples(surviving), core.Weak, nil)
+	batch := core.MustSummarize(store.FromTriples(surviving), core.Weak)
 	if !reflect.DeepEqual(canonical(liveSum.Graph), canonical(batch.Graph)) {
 		t.Fatal("weak summary with spill enabled diverges from batch summary")
 	}

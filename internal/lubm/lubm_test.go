@@ -97,8 +97,8 @@ func TestSaturationAmplification(t *testing.T) {
 // class sets.
 func TestSummariesOnLUBM(t *testing.T) {
 	g := GenerateGraph(DefaultConfig(1))
-	w := core.MustSummarize(g, core.Weak, nil)
-	tw := core.MustSummarize(g, core.TypedWeak, nil)
+	w := core.MustSummarize(g, core.Weak)
+	tw := core.MustSummarize(g, core.TypedWeak)
 	if w.Stats.CompressionRatio() > 0.05 {
 		t.Errorf("weak compression %.3f too large", w.Stats.CompressionRatio())
 	}

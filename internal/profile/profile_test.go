@@ -11,7 +11,7 @@ import (
 )
 
 func TestProfileFig2(t *testing.T) {
-	s := core.MustSummarize(samples.Fig2(), core.TypedWeak, nil)
+	s := core.MustSummarize(samples.Fig2(), core.TypedWeak)
 	p := Build(s)
 	if len(p.Kinds) != 9 { // 3 class-set kinds + 6 untyped kinds (Figure 7)
 		t.Fatalf("profile has %d kinds, want 9", len(p.Kinds))
@@ -41,7 +41,7 @@ func TestProfileFig2(t *testing.T) {
 
 func TestProfileRelationshipsBSBM(t *testing.T) {
 	g := bsbm.GenerateGraph(bsbm.DefaultConfig(60))
-	s := core.MustSummarize(g, core.TypedWeak, nil)
+	s := core.MustSummarize(g, core.TypedWeak)
 	p := Build(s)
 
 	var offer *EntityKind
@@ -68,7 +68,7 @@ func TestProfileRelationshipsBSBM(t *testing.T) {
 }
 
 func TestProfileWrite(t *testing.T) {
-	s := core.MustSummarize(samples.Fig2(), core.TypedWeak, nil)
+	s := core.MustSummarize(samples.Fig2(), core.TypedWeak)
 	p := Build(s)
 	var buf bytes.Buffer
 	if err := p.Write(&buf, 4); err != nil {

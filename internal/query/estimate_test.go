@@ -185,7 +185,7 @@ func TestEstimatorQErrorGolden(t *testing.T) {
 		g := loadCorpus(t, path)
 		ix := store.NewIndex(g)
 		for _, kind := range []core.Kind{core.Weak, core.TypedWeak} {
-			stats := core.MustSummarize(g, kind, nil).ComputeWeights()
+			stats := core.MustSummarize(g, kind).ComputeWeights()
 			rng := query.NewRNG(7)
 			for i := 0; i < 20; i++ {
 				q, ok := query.ExtractRBGP(g, rng, 1+i%3)

@@ -90,7 +90,7 @@ func TestPlannerOrderNonRegression(t *testing.T) {
 	for _, mix := range regressionMixes {
 		t.Run(mix.name, func(t *testing.T) {
 			g := mix.graph()
-			w := core.MustSummarize(g, mix.kind, nil).ComputeWeights()
+			w := core.MustSummarize(g, mix.kind).ComputeWeights()
 			ix := store.NewIndex(g)
 			for qi, text := range mix.queries {
 				q := MustParse(text)
@@ -129,7 +129,7 @@ func TestEstimationAccuracyMixes(t *testing.T) {
 	var qerrs []float64
 	for _, mix := range regressionMixes {
 		g := mix.graph()
-		w := core.MustSummarize(g, mix.kind, nil).ComputeWeights()
+		w := core.MustSummarize(g, mix.kind).ComputeWeights()
 		ix := store.NewIndex(g)
 		for qi, text := range mix.queries {
 			q := MustParse(text)

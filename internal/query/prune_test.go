@@ -23,7 +23,7 @@ func prunersOf(t testing.TB, g *store.Graph) map[core.Kind]*query.Pruner {
 	t.Helper()
 	out := map[core.Kind]*query.Pruner{}
 	for _, k := range prunerKinds {
-		s := core.MustSummarize(g, k, nil)
+		s := core.MustSummarize(g, k)
 		out[k] = query.NewPruner(k.String(), saturate.Graph(s.Graph))
 	}
 	return out
@@ -131,7 +131,7 @@ func canon(r *query.Result) map[string]bool {
 // when they are empty on the summary.
 func TestPrunerDeclinesNonRBGP(t *testing.T) {
 	g := samples.Fig2()
-	s := core.MustSummarize(g, core.Weak, nil)
+	s := core.MustSummarize(g, core.Weak)
 	pr := query.NewPruner("weak", saturate.Graph(s.Graph))
 	// Variable property position: not RBGP.
 	q := query.MustParse(`SELECT ?p WHERE { ?x ?p ?y }`)

@@ -88,7 +88,7 @@ func partitionFromSummary(s *core.Summary) []string {
 // Definition 7 closure.
 func TestWeakPartitionOracle(t *testing.T) {
 	check := func(g *store.Graph) bool {
-		s := core.MustSummarize(g, core.Weak, nil)
+		s := core.MustSummarize(g, core.Weak)
 		return reflect.DeepEqual(partitionFromSummary(s), canonPartition(WeakClasses(g)))
 	}
 	for name, g := range map[string]*store.Graph{
@@ -108,7 +108,7 @@ func TestWeakPartitionOracle(t *testing.T) {
 // the Definition 15 grouping.
 func TestStrongPartitionOracle(t *testing.T) {
 	check := func(g *store.Graph) bool {
-		s := core.MustSummarize(g, core.Strong, nil)
+		s := core.MustSummarize(g, core.Strong)
 		return reflect.DeepEqual(partitionFromSummary(s), canonPartition(StrongClasses(g)))
 	}
 	if !check(samples.Fig2()) {

@@ -32,32 +32,6 @@ func TestStreamingBuilderFacade(t *testing.T) {
 	}
 }
 
-// TestParallelFacade: Options.Workers produces identical summaries.
-func TestParallelFacade(t *testing.T) {
-	g := rdfsum.GenerateBSBM(120)
-	seq, err := rdfsum.Summarize(g, rdfsum.Weak)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 8} {
-		par, err := rdfsum.SummarizeWithOptions(g, rdfsum.Weak, &rdfsum.Options{Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(seq.Graph.CanonicalStrings(), par.Graph.CanonicalStrings()) {
-			t.Errorf("workers=%d produced a different summary", workers)
-		}
-	}
-	// The Global algorithm is also reachable through the facade.
-	glo, err := rdfsum.SummarizeWithOptions(g, rdfsum.Weak, &rdfsum.Options{WeakAlgorithm: rdfsum.Global})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(seq.Graph.CanonicalStrings(), glo.Graph.CanonicalStrings()) {
-		t.Error("global algorithm produced a different summary")
-	}
-}
-
 // TestParallelLoadFacade: the parallel ingestion pipeline, reached
 // through the public API, yields a graph bit-identical to the sequential
 // loader — same dictionary, same component slices — and summaries built
@@ -74,11 +48,11 @@ func TestParallelLoadFacade(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	seq, err := rdfsum.LoadNTriplesFile(path)
+	seq, err := rdfsum.LoadFile(path, &rdfsum.LoadOptions{Workers: 1, Format: rdfsum.FormatNTriples})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := rdfsum.LoadNTriplesFileParallel(path, &rdfsum.LoadOptions{Workers: 4, SlabBytes: 16 * 1024})
+	par, err := rdfsum.LoadFile(path, &rdfsum.LoadOptions{Workers: 4, SlabBytes: 16 * 1024, Format: rdfsum.FormatNTriples})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +71,7 @@ func TestParallelLoadFacade(t *testing.T) {
 	}
 
 	// And through the reader-based entry point.
-	par2, err := rdfsum.LoadNTriplesParallel(bytes.NewReader(data), &rdfsum.LoadOptions{Workers: 2})
+	par2, err := rdfsum.Load(bytes.NewReader(data), &rdfsum.LoadOptions{Workers: 2, Format: rdfsum.FormatNTriples})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -117,14 +117,15 @@ func TestLoadNTriplesFile(t *testing.T) {
 	if err := writeFile(path, f.Bytes()); err != nil {
 		t.Fatal(err)
 	}
-	g, err := rdfsum.LoadNTriplesFile(path)
+	opts := &rdfsum.LoadOptions{Workers: 1, Format: rdfsum.FormatNTriples}
+	g, err := rdfsum.LoadFile(path, opts)
 	if err != nil {
-		t.Fatalf("LoadNTriplesFile: %v", err)
+		t.Fatalf("LoadFile: %v", err)
 	}
 	if g.NumEdges() != 9 {
 		t.Errorf("loaded %d edges, want 9", g.NumEdges())
 	}
-	if _, err := rdfsum.LoadNTriplesFile(path + ".missing"); err == nil {
+	if _, err := rdfsum.LoadFile(path+".missing", opts); err == nil {
 		t.Error("missing file must error")
 	}
 }
