@@ -87,10 +87,10 @@ bench-json:
 	$(GO) run ./cmd/benchjson -in bench.txt -out BENCH_ci.json
 	@rm -f bench.txt
 
-# Snapshot-format benchmarks at full scale (100k/1M/10M cold opens for
-# both formats plus the zero-copy mapped scan): the acceptance evidence
-# that v2 open cost stays flat while v1 grows with the snapshot. Merged
-# into BENCH_ci.json on top of whatever bench-json last archived.
+# Snapshot-format benchmarks at full scale (100k/1M/10M cold opens plus
+# the zero-copy mapped scan): the acceptance evidence that open cost
+# stays flat as the snapshot grows. Merged into BENCH_ci.json on top of
+# whatever bench-json last archived.
 # Seeding the 10M-triple store dominates the runtime (several minutes);
 # SNAPBENCH_SHORT=1 keeps only the 100k size.
 snapshot-bench:

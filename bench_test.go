@@ -837,13 +837,13 @@ func BenchmarkSnapshotRoundTrip(b *testing.B) {
 	b.Run("write", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			var buf bytes.Buffer
-			if err := store.WriteSnapshot(&buf, g); err != nil {
+			if err := store.WriteSnapshotV2(&buf, g); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	var buf bytes.Buffer
-	if err := store.WriteSnapshot(&buf, g); err != nil {
+	if err := store.WriteSnapshotV2(&buf, g); err != nil {
 		b.Fatal(err)
 	}
 	data := buf.Bytes()

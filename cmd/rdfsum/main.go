@@ -9,6 +9,7 @@
 //	rdfsum query     -in data.nt -q 'SELECT ?x WHERE { ... }' [-saturate] [-explain] [-limit N] [-prune kind|off]
 //	rdfsum convert   -in data.nt -out data.snapshot
 //	rdfsum inspect   data.snapshot
+//	rdfsum migrate   data.snapshot | ./store   # upgrade v1 files in place
 //	rdfsum ingest    -wal ./store -in data.nt [-batch N] [-delete] [-compact] [-nosync] [-index-fanout N]
 //
 // The query, stats and ingest subcommands also run against a live
@@ -53,6 +54,8 @@ func main() {
 		err = cmdConvert(os.Args[2:])
 	case "inspect":
 		err = cmdInspect(os.Args[2:])
+	case "migrate":
+		err = cmdMigrate(os.Args[2:])
 	case "ingest":
 		err = cmdIngest(os.Args[2:])
 	case "cliques":
@@ -85,6 +88,7 @@ commands:
   query       evaluate a SPARQL BGP query
   convert     convert between N-Triples and snapshot formats
   inspect     print a snapshot file's header, sections and CRCs
+  migrate     upgrade a v1 snapshot, or a live store's v1 files, in place
   ingest      append (or -delete) triples in a WAL-durable live store (-wal dir)
   cliques     print the source/target property cliques (Table 1 style)
   check       verify well-behavedness assumptions
@@ -472,9 +476,9 @@ func describeStreamErr(path string, err error) error {
 }
 
 // cmdInspect prints a snapshot file's physical layout: format version,
-// header counts, and — for the v2 container — every section's offset,
-// size and CRC, the dictionary stats and the on-disk compression ratio.
-// v2 files are answered from the header and TOC alone (no triple decode).
+// header counts, every section's offset, size and CRC, the dictionary
+// stats and the on-disk compression ratio — from the header and TOC
+// alone (no triple decode).
 func cmdInspect(args []string) error {
 	fs := flag.NewFlagSet("inspect", flag.ExitOnError)
 	fs.Parse(args) //nolint:errcheck // ExitOnError
@@ -490,10 +494,6 @@ func cmdInspect(args []string) error {
 	nTriples := info.NData + info.NTypes + info.NSchema
 	fmt.Printf("  triples: %d (%d data, %d type, %d schema), dict terms: %d\n",
 		nTriples, info.NData, info.NTypes, info.NSchema, info.NTerms)
-	if info.Version < 2 {
-		fmt.Println("  v1 stream format: single CRC over the whole file, no section table")
-		return nil
-	}
 	serve := "eager read"
 	if info.Mmap {
 		serve = "mmap"
@@ -513,6 +513,26 @@ func cmdInspect(args []string) error {
 			payload, 100*float64(uint64(info.FileSize)-min(payload, uint64(info.FileSize)))/float64(info.FileSize),
 			float64(raw)/float64(payload))
 	}
+	return nil
+}
+
+// cmdMigrate upgrades a v1 snapshot file, or the current generation of a
+// live store directory, to the formats the serving path reads.
+func cmdMigrate(args []string) error {
+	fs := flag.NewFlagSet("migrate", flag.ExitOnError)
+	fs.Parse(args) //nolint:errcheck // ExitOnError
+	if fs.NArg() != 1 {
+		return fmt.Errorf("usage: rdfsum migrate <snapshot | store dir>")
+	}
+	upgraded, err := rdfsum.Migrate(fs.Arg(0))
+	if err != nil {
+		return err
+	}
+	state := "already current"
+	if upgraded {
+		state = "upgraded"
+	}
+	fmt.Printf("%s: %s\n", fs.Arg(0), state)
 	return nil
 }
 

@@ -44,11 +44,11 @@ func compressed(t *testing.T, body string, c rdfsum.Compression) []byte {
 	return buf.Bytes()
 }
 
-// postRaw issues a POST /triples with explicit Content-Type and
+// postRaw issues a POST /v1/triples with explicit Content-Type and
 // Content-Encoding headers and returns the full response.
 func postRaw(t *testing.T, url, contentType, encoding string, body []byte) (*http.Response, map[string]any) {
 	t.Helper()
-	req, err := http.NewRequest(http.MethodPost, url+"/triples", bytes.NewReader(body))
+	req, err := http.NewRequest(http.MethodPost, url+"/v1/triples", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func TestIngestInvalidUTF8Body(t *testing.T) {
 	} {
 		t.Run(tc.contentType, func(t *testing.T) {
 			ts, srv := liveTestServer(t, nil)
-			resp, body := postRaw(t, ts.URL+"/v1", tc.contentType, "", []byte(tc.body))
+			resp, body := postRaw(t, ts.URL, tc.contentType, "", []byte(tc.body))
 			if resp.StatusCode != http.StatusBadRequest {
 				t.Fatalf("status = %d, want 400: %v", resp.StatusCode, body)
 			}
@@ -233,7 +233,7 @@ func TestIngestBackpressure429(t *testing.T) {
 		t.Fatal("never observed a 429 from a saturated single-batch queue")
 	}
 	var stats map[string]any
-	getJSON(t, ts.URL+"/stats", &stats)
+	getJSON(t, ts.URL+"/v1/stats", &stats)
 	if stats["ingest_queue_rejected"].(float64) < 1 {
 		t.Fatalf("stats ingest_queue_rejected = %v, want >= 1", stats["ingest_queue_rejected"])
 	}
@@ -247,11 +247,11 @@ func TestIngestBackpressure429(t *testing.T) {
 func TestStatsAndMetricsReportQueue(t *testing.T) {
 	ts, _ := liveTestServer(t, nil)
 	var stats map[string]any
-	getJSON(t, ts.URL+"/stats", &stats)
+	getJSON(t, ts.URL+"/v1/stats", &stats)
 	if stats["ingest_queue_max_depth"].(float64) != 256 {
 		t.Fatalf("default ingest_queue_max_depth = %v, want 256", stats["ingest_queue_max_depth"])
 	}
-	resp, err := http.Get(ts.URL + "/metrics")
+	resp, err := http.Get(ts.URL + "/v1/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,9 +8,8 @@
 //	rdfsumd -live ./store -in seed.nt           # seed a fresh store
 //	rdfsumd -follow http://leader:8176          # read replica of a leader
 //
-// The API is versioned under /v1/ (see docs/http-api.md); the legacy
-// unversioned paths still answer, with a Deprecation header pointing at
-// their successor. Every error is the JSON envelope
+// The API lives under /v1/ (see docs/http-api.md); any other path
+// answers 404 not_found. Every error is the JSON envelope
 // {"error":{"code":...,"message":...}}.
 //
 // Endpoints:

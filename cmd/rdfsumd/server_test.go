@@ -37,7 +37,7 @@ func getJSON(t *testing.T, url string, out any) *http.Response {
 
 func TestHealthz(t *testing.T) {
 	ts := testServer(t)
-	resp := getJSON(t, ts.URL+"/healthz", nil)
+	resp := getJSON(t, ts.URL+"/v1/healthz", nil)
 	if resp.StatusCode != http.StatusOK {
 		t.Errorf("healthz status = %d", resp.StatusCode)
 	}
@@ -46,7 +46,7 @@ func TestHealthz(t *testing.T) {
 func TestStatsEndpoint(t *testing.T) {
 	ts := testServer(t)
 	var body map[string]any
-	getJSON(t, ts.URL+"/stats", &body)
+	getJSON(t, ts.URL+"/v1/stats", &body)
 	if body["triples"].(float64) <= 0 {
 		t.Errorf("stats triples = %v", body["triples"])
 	}
@@ -58,7 +58,7 @@ func TestStatsEndpoint(t *testing.T) {
 func TestSummaryEndpoint(t *testing.T) {
 	ts := testServer(t)
 	var body map[string]any
-	resp := getJSON(t, ts.URL+"/summary?kind=weak", &body)
+	resp := getJSON(t, ts.URL+"/v1/summary?kind=weak", &body)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp.StatusCode)
 	}
@@ -67,7 +67,7 @@ func TestSummaryEndpoint(t *testing.T) {
 	}
 
 	// N-Triples body.
-	resp, err := http.Get(ts.URL + "/summary?kind=strong&format=ntriples")
+	resp, err := http.Get(ts.URL + "/v1/summary?kind=strong&format=ntriples")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestSummaryEndpoint(t *testing.T) {
 	}
 
 	// DOT body.
-	resp, err = http.Get(ts.URL + "/summary?format=dot")
+	resp, err = http.Get(ts.URL + "/v1/summary?format=dot")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,10 +95,10 @@ func TestSummaryEndpoint(t *testing.T) {
 	}
 
 	// Errors.
-	if resp := getJSON(t, ts.URL+"/summary?kind=nope", nil); resp.StatusCode != http.StatusBadRequest {
+	if resp := getJSON(t, ts.URL+"/v1/summary?kind=nope", nil); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("bad kind status = %d", resp.StatusCode)
 	}
-	if resp := getJSON(t, ts.URL+"/summary?format=xml", nil); resp.StatusCode != http.StatusBadRequest {
+	if resp := getJSON(t, ts.URL+"/v1/summary?format=xml", nil); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("bad format status = %d", resp.StatusCode)
 	}
 }
@@ -111,7 +111,7 @@ func TestProfileEndpoint(t *testing.T) {
 			Instances int    `json:"instances"`
 		} `json:"kinds"`
 	}
-	getJSON(t, ts.URL+"/profile", &body)
+	getJSON(t, ts.URL+"/v1/profile", &body)
 	found := false
 	for _, k := range body.Kinds {
 		if k.Label == "{Offer}" && k.Instances == 40*3 {
@@ -127,7 +127,7 @@ func TestQueryEndpoint(t *testing.T) {
 	ts := testServer(t)
 	q := `PREFIX bsbm: <http://bsbm.example.org/vocabulary/>
 		SELECT ?o WHERE { ?o bsbm:price ?p }`
-	resp, err := http.Post(ts.URL+"/query", "application/sparql-query", strings.NewReader(q))
+	resp, err := http.Post(ts.URL+"/v1/query", "application/sparql-query", strings.NewReader(q))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestQueryEndpoint(t *testing.T) {
 	q2 := `PREFIX bsbm: <http://bsbm.example.org/vocabulary/>
 		PREFIX rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#>
 		SELECT ?x WHERE { ?x rdf:type bsbm:Product }`
-	resp2, err := http.Post(ts.URL+"/query?saturate=true", "application/sparql-query", strings.NewReader(q2))
+	resp2, err := http.Post(ts.URL+"/v1/query?saturate=true", "application/sparql-query", strings.NewReader(q2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestQueryEndpoint(t *testing.T) {
 	}
 
 	// Malformed query.
-	resp3, err := http.Post(ts.URL+"/query", "text/plain", strings.NewReader("not sparql"))
+	resp3, err := http.Post(ts.URL+"/v1/query", "text/plain", strings.NewReader("not sparql"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +196,7 @@ func TestQueryLimitParam(t *testing.T) {
 	ts := testServer(t)
 
 	// Client limit below the answer count (120): rows cut, truncated set.
-	code, body := postQuery(t, ts.URL+"/query?limit=7", priceQuery)
+	code, body := postQuery(t, ts.URL+"/v1/query?limit=7", priceQuery)
 	if code != http.StatusOK {
 		t.Fatalf("status = %d", code)
 	}
@@ -206,7 +206,7 @@ func TestQueryLimitParam(t *testing.T) {
 	}
 
 	// No limit: all 120 answers, not truncated.
-	_, body = postQuery(t, ts.URL+"/query", priceQuery)
+	_, body = postQuery(t, ts.URL+"/v1/query", priceQuery)
 	if body["count"].(float64) != 120 || body["truncated"] != false {
 		t.Errorf("default query = count %v truncated %v, want 120/false",
 			body["count"], body["truncated"])
@@ -214,7 +214,7 @@ func TestQueryLimitParam(t *testing.T) {
 
 	// Invalid limits are rejected.
 	for _, bad := range []string{"0", "-3", "abc"} {
-		code, _ := postQuery(t, ts.URL+"/query?limit="+bad, priceQuery)
+		code, _ := postQuery(t, ts.URL+"/v1/query?limit="+bad, priceQuery)
 		if code != http.StatusBadRequest {
 			t.Errorf("limit=%s status = %d, want 400", bad, code)
 		}
@@ -223,7 +223,7 @@ func TestQueryLimitParam(t *testing.T) {
 
 func TestQueryExplainParam(t *testing.T) {
 	ts := testServer(t)
-	code, body := postQuery(t, ts.URL+"/query?explain=true", priceQuery)
+	code, body := postQuery(t, ts.URL+"/v1/query?explain=true", priceQuery)
 	if code != http.StatusOK {
 		t.Fatalf("status = %d", code)
 	}
@@ -250,7 +250,7 @@ func TestQueryPruning(t *testing.T) {
 	// so the weak-summary gate proves the join empty.
 	empty := `PREFIX bsbm: <http://bsbm.example.org/vocabulary/>
 		SELECT ?o WHERE { ?o bsbm:price ?x . ?o bsbm:reviewDate ?d }`
-	code, body := postQuery(t, ts.URL+"/query?explain=true", empty)
+	code, body := postQuery(t, ts.URL+"/v1/query?explain=true", empty)
 	if code != http.StatusOK {
 		t.Fatalf("status = %d", code)
 	}
@@ -263,7 +263,7 @@ func TestQueryPruning(t *testing.T) {
 	}
 
 	// Same query with pruning off still returns 0 rows, unpruned.
-	_, body = postQuery(t, ts.URL+"/query?explain=true&prune=off", empty)
+	_, body = postQuery(t, ts.URL+"/v1/query?explain=true&prune=off", empty)
 	if body["count"].(float64) != 0 {
 		t.Errorf("unpruned count = %v, want 0", body["count"])
 	}
@@ -272,13 +272,13 @@ func TestQueryPruning(t *testing.T) {
 	}
 
 	// Pruning must not change non-empty answers.
-	_, body = postQuery(t, ts.URL+"/query?prune=typed-weak", priceQuery)
+	_, body = postQuery(t, ts.URL+"/v1/query?prune=typed-weak", priceQuery)
 	if body["count"].(float64) != 120 {
 		t.Errorf("typed-weak gated count = %v, want 120", body["count"])
 	}
 
 	// Unknown prune kind is rejected.
-	code, _ = postQuery(t, ts.URL+"/query?prune=nope", priceQuery)
+	code, _ = postQuery(t, ts.URL+"/v1/query?prune=nope", priceQuery)
 	if code != http.StatusBadRequest {
 		t.Errorf("prune=nope status = %d, want 400", code)
 	}
@@ -293,7 +293,7 @@ func TestSummarySingleflight(t *testing.T) {
 	errs := make(chan error, len(kinds))
 	for _, k := range kinds {
 		go func(kind string) {
-			resp, err := http.Get(ts.URL + "/summary?kind=" + kind)
+			resp, err := http.Get(ts.URL + "/v1/summary?kind=" + kind)
 			if err != nil {
 				errs <- err
 				return

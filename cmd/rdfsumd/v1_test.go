@@ -51,10 +51,10 @@ func doReq(t *testing.T, method, url, body string) (*http.Response, envelope) {
 	return resp, env
 }
 
-// TestV1RouteAliases checks every route answers both under /v1 and at its
-// legacy path, and that only the legacy alias carries the deprecation
-// headers.
-func TestV1RouteAliases(t *testing.T) {
+// TestUnversionedRoutesNotFound checks every route answers under /v1
+// only: the unversioned path of each is an unknown route (404 not_found,
+// pointing at /v1/), and the /v1 route names no successor.
+func TestUnversionedRoutesNotFound(t *testing.T) {
 	ts := testServer(t)
 	routes := []struct{ method, path, body string }{
 		{"GET", "/healthz", ""},
@@ -65,24 +65,26 @@ func TestV1RouteAliases(t *testing.T) {
 		{"POST", "/query", "SELECT ?x WHERE { ?x ?p ?o . }"},
 		{"POST", "/triples", "<http://x/s> <http://x/p> <http://x/o> .\n"},
 		{"DELETE", "/triples", "<http://x/s> <http://x/p> <http://x/o> .\n"},
+		{"POST", "/compact", ""},
 	}
 	for _, rt := range routes {
-		legacy, _ := doReq(t, rt.method, ts.URL+rt.path, rt.body)
-		if legacy.StatusCode != http.StatusOK {
-			t.Errorf("%s %s (legacy) status = %d", rt.method, rt.path, legacy.StatusCode)
+		old, env := doReq(t, rt.method, ts.URL+rt.path, rt.body)
+		if old.StatusCode != http.StatusNotFound || env.Error.Code != httpapi.CodeNotFound {
+			t.Errorf("%s %s status = %d, code %q; want 404 %s", rt.method, rt.path, old.StatusCode, env.Error.Code, httpapi.CodeNotFound)
 		}
-		if legacy.Header.Get("Deprecation") != "true" {
-			t.Errorf("%s %s (legacy) missing Deprecation header", rt.method, rt.path)
-		}
-		if link := legacy.Header.Get("Link"); !strings.Contains(link, "/v1"+rt.path) || !strings.Contains(link, "successor-version") {
-			t.Errorf("%s %s (legacy) Link = %q", rt.method, rt.path, link)
+		if !strings.Contains(env.Error.Message, "/v1/") {
+			t.Errorf("%s %s: message %q does not point at /v1/", rt.method, rt.path, env.Error.Message)
 		}
 		v1, _ := doReq(t, rt.method, ts.URL+"/v1"+rt.path, rt.body)
-		if v1.StatusCode != http.StatusOK {
-			t.Errorf("%s /v1%s status = %d", rt.method, rt.path, v1.StatusCode)
+		want := http.StatusOK
+		if rt.path == "/compact" {
+			want = http.StatusConflict // memory-only server: the route exists
 		}
-		if v1.Header.Get("Deprecation") != "" {
-			t.Errorf("%s /v1%s unexpectedly deprecated", rt.method, rt.path)
+		if v1.StatusCode != want {
+			t.Errorf("%s /v1%s status = %d, want %d", rt.method, rt.path, v1.StatusCode, want)
+		}
+		if link := v1.Header.Get("Link"); link != "" {
+			t.Errorf("%s /v1%s points elsewhere: Link = %q", rt.method, rt.path, link)
 		}
 	}
 }

@@ -1,11 +1,8 @@
 package live
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"math/rand/v2"
-	"os"
 	"reflect"
 	"sync"
 	"testing"
@@ -231,74 +228,6 @@ func TestLiveDeleteInterleavingOracle(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 12}); err != nil {
 		t.Error(err)
-	}
-}
-
-// writeV1WAL writes a WAL in the version-1 framing (no op byte: every
-// record an add batch) — the format PR 3 shipped — so the upgrade path
-// stays honest even though this build always writes v2.
-func writeV1WAL(t *testing.T, path string, batches [][]rdf.Triple) {
-	t.Helper()
-	var buf []byte
-	buf = append(buf, walMagic...)
-	buf = append(buf, walVersionV1)
-	for _, batch := range batches {
-		payload := binary.AppendUvarint(nil, uint64(len(batch)))
-		for _, tr := range batch {
-			payload = appendTerm(appendTerm(appendTerm(payload, tr.S), tr.P), tr.O)
-		}
-		var frame [8]byte
-		binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
-		binary.LittleEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(payload))
-		buf = append(buf, frame[:]...)
-		buf = append(buf, payload...)
-	}
-	if err := os.WriteFile(path, buf, 0o644); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestLiveWALv1BackwardCompatible: a generation logged in the v1 format
-// replays cleanly, is upgraded to a fresh v2 generation on open (so
-// deletions can be journaled), and the store then accepts deletes.
-func TestLiveWALv1BackwardCompatible(t *testing.T) {
-	dir := t.TempDir()
-	batches := [][]rdf.Triple{mkBatch(0, 20), mkBatch(100, 15)}
-	l := &Live{dir: dir}
-	writeV1WAL(t, l.walPath(1), batches)
-	if err := writeManifest(dir, 1); err != nil {
-		t.Fatal(err)
-	}
-
-	re, err := Open(dir, Options{NoSync: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re.Close()
-	want := canonical(store.FromTriples(flatten(batches)))
-	if !reflect.DeepEqual(canonical(re.Snapshot().Graph), want) {
-		t.Fatal("v1 WAL replay diverges from its batches")
-	}
-	st := re.Stats()
-	if st.Gen != 2 {
-		t.Fatalf("v1 generation was not upgraded: gen %d, want 2", st.Gen)
-	}
-	// The active WAL is v2 now: deletions are journaled and replayable.
-	dead := batches[0][:3]
-	if _, err := re.DeleteBatch(dead); err != nil {
-		t.Fatal(err)
-	}
-	if err := re.Close(); err != nil {
-		t.Fatal(err)
-	}
-	re2, err := Open(dir, Options{NoSync: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re2.Close()
-	surviving := removeAll(flatten(batches), dead)
-	if !reflect.DeepEqual(canonical(re2.Snapshot().Graph), canonical(store.FromTriples(surviving))) {
-		t.Fatal("deletion on an upgraded store did not survive replay")
 	}
 }
 

@@ -48,6 +48,7 @@ package live
 import (
 	"errors"
 	"fmt"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -145,7 +146,7 @@ type Live struct {
 	deleted uint64 // triple copies removed (monotonic)
 	fanout  int    // tiered-index fold width (0 = store default)
 	spill   *store.SpillConfig
-	sf      *store.SnapshotFile // mapped v2 base snapshot (nil for v1/fresh)
+	sf      *store.SnapshotFile // mapped base snapshot (nil for a fresh or empty base)
 	closed  bool
 
 	maintained [core.NumKinds]bool
@@ -217,7 +218,8 @@ func (l *Live) initBuilders(g *store.Graph, kinds []core.Kind) error {
 // Open opens (or initializes) a durable live store in dir: it loads the
 // current generation's snapshot, replays the WAL over it — truncating a
 // torn tail, so exactly the acknowledged batches come back — and publishes
-// epoch 1.
+// epoch 1. A store in the v1 snapshot or WAL format is refused; Migrate
+// upgrades it.
 func Open(dir string, opts Options) (*Live, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
@@ -282,9 +284,8 @@ func Open(dir string, opts Options) (*Live, error) {
 		snapPath := l.snapshotPath(gen)
 		switch _, statErr := os.Stat(snapPath); {
 		case statErr == nil:
-			// v2 snapshots map the file and defer materialization — with no
-			// maintained kinds this makes Open O(1) in snapshot size. v1
-			// snapshots still load eagerly (sf stays nil).
+			// The snapshot is mapped and materializes lazily — with no
+			// maintained kinds this makes Open O(1) in snapshot size.
 			g, l.sf, err = store.OpenGraphFile(snapPath, opts.VerifySnapshot)
 			if err != nil {
 				return nil, fmt.Errorf("live: generation %d snapshot: %w", gen, err)
@@ -304,7 +305,7 @@ func Open(dir string, opts Options) (*Live, error) {
 		}
 		l.gen = gen
 		records := int64(0)
-		good, version, torn, err := replayWAL(l.walPath(gen), func(op Op, triples []rdf.Triple) error {
+		good, torn, err := replayWAL(l.walPath(gen), func(op Op, triples []rdf.Triple) error {
 			records++
 			if op == OpDelete {
 				removed, _ := l.set.DeleteBatch(triples)
@@ -317,10 +318,10 @@ func Open(dir string, opts Options) (*Live, error) {
 			return nil
 		})
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("live: generation %d wal: %w", gen, err)
 		}
 		l.RecoveredTorn = torn
-		l.wal, err = openWALForAppend(l.walPath(gen), good, l.sync, version, records)
+		l.wal, err = openWALForAppend(l.walPath(gen), good, l.sync, records)
 		if err != nil {
 			return nil, err
 		}
@@ -330,15 +331,6 @@ func Open(dir string, opts Options) (*Live, error) {
 	l.mu.Lock()
 	l.publishLocked()
 	l.mu.Unlock()
-	if l.wal != nil && l.wal.version < walVersion {
-		// Upgrade path: a generation logged in the v1 format cannot
-		// record deletions. Fold it into a fresh snapshot + v2 WAL now;
-		// Compact's manifest swap keeps the upgrade crash-safe.
-		if err := l.Compact(); err != nil {
-			l.Close()
-			return nil, fmt.Errorf("live: upgrading v1 WAL generation: %w", err)
-		}
-	}
 	l.removeStaleGenerations()
 	opened = true
 	return l, nil
@@ -754,50 +746,12 @@ func (l *Live) snapshotPath(gen uint64) string {
 	return filepath.Join(l.dir, fmt.Sprintf("snapshot-%d.rdfsum", gen))
 }
 
-// writeSnapshotFile durably writes gen's base snapshot via tmp + fsync +
-// rename, so a crash never leaves a half-written snapshot under the final
-// name.
+// writeSnapshotFile durably writes gen's base snapshot, atomically: a
+// crash never leaves a half-written snapshot under the final name.
 func (l *Live) writeSnapshotFile(gen uint64, g *store.Graph) error {
-	path := l.snapshotPath(gen)
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if err := store.WriteSnapshotV2(f, g); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if l.sync {
-		if err := f.Sync(); err != nil {
-			f.Close()
-			os.Remove(tmp)
-			return err
-		}
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return l.syncDir()
-}
-
-// syncDir fsyncs the store directory so renames and creations are durable.
-func (l *Live) syncDir() error {
-	if !l.sync {
-		return nil
-	}
-	d, err := os.Open(l.dir)
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	return d.Sync()
+	return store.WriteFileAtomic(l.snapshotPath(gen), l.sync, func(w io.Writer) error {
+		return store.WriteSnapshotV2(w, g)
+	})
 }
 
 const manifestName = "CURRENT"
@@ -829,42 +783,16 @@ func readManifest(dir string) (uint64, error) {
 	return gen, nil
 }
 
-// writeManifest atomically points CURRENT at gen (tmp + fsync + rename +
-// dir sync). The referenced WAL and snapshot must already be durable.
-// The tmp file's *data* is fsynced before the rename: without it a crash
-// could durably install a CURRENT entry whose blocks never hit the disk,
-// leaving an unopenable store after the old generation is deleted.
+// writeManifest atomically points CURRENT at gen, always fsynced. The
+// referenced WAL and snapshot must already be durable. The data is
+// synced before the rename: without it a crash could durably install a
+// CURRENT entry whose blocks never hit the disk, leaving an unopenable
+// store after the old generation is deleted.
 func writeManifest(dir string, gen uint64) error {
-	path := filepath.Join(dir, manifestName)
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
+	return store.WriteFileAtomic(filepath.Join(dir, manifestName), true, func(w io.Writer) error {
+		_, err := fmt.Fprintf(w, "gen %d\n", gen)
 		return err
-	}
-	if _, err := fmt.Fprintf(f, "gen %d\n", gen); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	return d.Sync()
+	})
 }
 
 // removeStaleGenerations deletes snapshot/WAL files of generations other

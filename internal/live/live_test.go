@@ -1,7 +1,9 @@
 package live
 
 import (
+	"bytes"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -762,4 +764,40 @@ func flattenBatches(n, size int) []rdf.Triple {
 		out = append(out, mkBatch(i*size, size)...)
 	}
 	return out
+}
+
+// TestWALFrameAllocatesWhatArrives: a frame whose length prefix claims
+// 2^30-1 bytes but carries three costs what arrived, not what it claims —
+// through recovery replay (a torn tail) and the replication stream reader
+// (an error).
+func TestWALFrameAllocatesWhatArrives(t *testing.T) {
+	body := []byte{0xff, 0xff, 0xff, 0x3f, 0, 0, 0, 0, 1, 2, 3}
+	path := filepath.Join(t.TempDir(), "wal.log")
+	if err := os.WriteFile(path, append([]byte(walMagic+"\x02"), body...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	allocated := func(fn func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		fn()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	n := allocated(func() {
+		good, torn, err := replayWAL(path, func(Op, []rdf.Triple) error { return nil })
+		if err != nil || !torn || good != int64(walHeaderLen) {
+			t.Errorf("replay = %d, %v, %v; want the header offset, torn", good, torn, err)
+		}
+	})
+	if n >= 1<<20 {
+		t.Errorf("replay allocated %d bytes for an %d-byte WAL", n, walHeaderLen+len(body))
+	}
+	n = allocated(func() {
+		if _, _, _, err := NewWALRecordReader(bytes.NewReader(body)).Next(); err == nil || err == io.EOF {
+			t.Errorf("stream reader on a cut frame: got %v, want a mid-record error", err)
+		}
+	})
+	if n >= 1<<20 {
+		t.Errorf("stream reader allocated %d bytes for a %d-byte stream", n, len(body))
+	}
 }

@@ -9,6 +9,7 @@ import (
 	"io"
 	"io/fs"
 	"os"
+	"slices"
 
 	"rdfsum/internal/rdf"
 )
@@ -53,7 +54,6 @@ type ReplState struct {
 	Epoch        uint64
 	WALSize      int64 // acknowledged WAL bytes (header included)
 	WALRecords   int64 // records framed into those bytes
-	WALVersion   byte  // record framing version (see wal.go)
 	HasSnapshot  bool
 	SnapshotSize int64 // bytes of the base snapshot file (0 when absent)
 }
@@ -71,7 +71,6 @@ func (l *Live) ReplState() (ReplState, error) {
 		Epoch:      l.published,
 		WALSize:    l.wal.size,
 		WALRecords: l.wal.records,
-		WALVersion: l.wal.version,
 	}
 	switch info, err := os.Stat(l.snapshotPath(l.gen)); {
 	case err == nil:
@@ -185,19 +184,18 @@ func (l *Live) Watch() <-chan struct{} {
 }
 
 // WALRecordReader decodes a stream of record-framed WAL bytes — the exact
-// bytes a leader ships from WALReader, with no file header — back into
-// (op, triples) batches. It is resumable: Offset reports how many bytes of
-// complete records have been consumed, so after a disconnect mid-record
-// the follower re-requests from its last good offset and loses nothing.
+// bytes a leader ships from WALReader, or a WAL file after its header —
+// back into (op, triples) batches. Recovery replay and replication
+// followers share it. It is resumable: each record reports its encoded
+// size, so after a disconnect mid-record the follower re-requests from its
+// last good offset and loses nothing.
 type WALRecordReader struct {
-	br      *bufio.Reader
-	version byte
+	br *bufio.Reader
 }
 
-// NewWALRecordReader wraps r, decoding records in the given WAL framing
-// version (from the leader's manifest).
-func NewWALRecordReader(r io.Reader, version byte) *WALRecordReader {
-	return &WALRecordReader{br: bufio.NewReaderSize(r, 1<<20), version: version}
+// NewWALRecordReader wraps r.
+func NewWALRecordReader(r io.Reader) *WALRecordReader {
+	return &WALRecordReader{br: bufio.NewReaderSize(r, 64<<10)}
 }
 
 // Next decodes one record, returning its operation, triples, and encoded
@@ -205,28 +203,44 @@ func NewWALRecordReader(r io.Reader, version byte) *WALRecordReader {
 // a record boundary; any other error means the stream was cut or corrupted
 // mid-record — resume from the offset of the last complete record.
 func (rr *WALRecordReader) Next() (Op, []rdf.Triple, int64, error) {
-	var frame [8]byte
-	if _, err := io.ReadFull(rr.br, frame[:]); err != nil {
-		if errors.Is(err, io.EOF) {
-			return 0, nil, 0, io.EOF
-		}
-		return 0, nil, 0, fmt.Errorf("live: wal stream cut mid-frame: %w", err)
-	}
-	length := binary.LittleEndian.Uint32(frame[0:4])
-	sum := binary.LittleEndian.Uint32(frame[4:8])
-	if length > maxWALRecordBytes {
-		return 0, nil, 0, fmt.Errorf("live: wal stream record claims %d bytes", length)
-	}
-	payload := make([]byte, length)
-	if _, err := io.ReadFull(rr.br, payload); err != nil {
-		return 0, nil, 0, fmt.Errorf("live: wal stream cut mid-record: %w", err)
-	}
-	if crc32.ChecksumIEEE(payload) != sum {
-		return 0, nil, 0, errors.New("live: wal stream record checksum mismatch")
-	}
-	op, triples, err := decodeBatch(payload, rr.version)
+	payload, err := rr.frame()
 	if err != nil {
 		return 0, nil, 0, err
 	}
-	return op, triples, int64(8 + length), nil
+	op, triples, err := decodeBatch(payload)
+	if err != nil {
+		return 0, nil, 0, err
+	}
+	return op, triples, int64(8 + len(payload)), nil
+}
+
+// frame reads one record and returns its checksummed payload. The buffer
+// grows as bytes arrive, never to what a corrupt length prefix claims.
+func (rr *WALRecordReader) frame() ([]byte, error) {
+	var hdr [8]byte
+	if _, err := io.ReadFull(rr.br, hdr[:]); err != nil {
+		if err == io.EOF {
+			return nil, err
+		}
+		return nil, fmt.Errorf("live: wal stream cut mid-frame: %w", err)
+	}
+	length := int(binary.LittleEndian.Uint32(hdr[0:4]))
+	if length > maxWALRecordBytes {
+		return nil, fmt.Errorf("live: wal stream record claims %d bytes", length)
+	}
+	payload := make([]byte, 0, min(length, 64<<10))
+	for len(payload) < length {
+		if len(payload) == cap(payload) {
+			payload = slices.Grow(payload, min(length, 2*len(payload))-len(payload))
+		}
+		n, err := io.ReadFull(rr.br, payload[len(payload):min(length, cap(payload))])
+		payload = payload[:len(payload)+n]
+		if err != nil { // even io.EOF: the frame promised more
+			return nil, fmt.Errorf("live: wal stream cut mid-record after %d of %d bytes: %v", len(payload), length, err)
+		}
+	}
+	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(hdr[4:8]) {
+		return nil, errors.New("live: wal stream record checksum mismatch")
+	}
+	return payload, nil
 }

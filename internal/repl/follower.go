@@ -184,9 +184,8 @@ func (f *Follower) run() {
 	needBootstrap := true
 	backoff := f.opts.RetryMin
 	var (
-		gen     uint64
-		offset  int64
-		version byte
+		gen    uint64
+		offset int64
 	)
 	// One request ID per bootstrap→tail session: every leader request of
 	// the session carries it, so one grep correlates both processes.
@@ -203,19 +202,14 @@ func (f *Follower) run() {
 				f.sleep(&backoff)
 				continue
 			}
-			gen, offset, version = m.Generation, m.WALDataStart, m.WALVersion
-			if offset < live.WALDataStart {
-				// Older leaders omit wal_data_start; the header length is
-				// fixed per WAL version.
-				offset = live.WALDataStart
-			}
+			gen, offset = m.Generation, m.WALDataStart
 			needBootstrap = false
 			backoff = f.opts.RetryMin
 			f.setState(StateTailing)
 			f.opts.Logger.LogAttrs(ctx, slog.LevelInfo, "replication tailing",
 				slog.Uint64("generation", gen), slog.Int64("offset", offset))
 		}
-		progressed, err := f.tailOnce(ctx, gen, &offset, version)
+		progressed, err := f.tailOnce(ctx, gen, &offset)
 		switch {
 		case f.ctx.Err() != nil:
 			return
@@ -246,6 +240,10 @@ func (f *Follower) bootstrap(ctx context.Context) (*client.ReplManifest, error) 
 	m, err := f.cl.ReplManifest(ctx)
 	if err != nil {
 		return nil, fmt.Errorf("manifest: %w", err)
+	}
+	if m.WALVersion != live.WALVersion || m.WALDataStart != live.WALDataStart {
+		return nil, fmt.Errorf("manifest: %w %d with records from offset %d (this build reads v%d from offset %d)",
+			live.ErrWALVersion, m.WALVersion, m.WALDataStart, live.WALVersion, live.WALDataStart)
 	}
 	g := store.NewGraph()
 	if m.HasSnapshot {
@@ -291,7 +289,7 @@ func (f *Follower) bootstrap(ctx context.Context) (*client.ReplManifest, error) 
 // record is not an error if any records landed first — the next request
 // resumes from the last applied boundary. Reports whether it made
 // progress (applied records, or confirmed being caught up).
-func (f *Follower) tailOnce(ctx context.Context, gen uint64, offset *int64, version byte) (progressed bool, err error) {
+func (f *Follower) tailOnce(ctx context.Context, gen uint64, offset *int64) (progressed bool, err error) {
 	rc, info, err := f.cl.ReplWAL(ctx, gen, *offset, f.opts.PollWait)
 	if err != nil {
 		return false, err
@@ -302,7 +300,7 @@ func (f *Follower) tailOnce(ctx context.Context, gen uint64, offset *int64, vers
 		return true, nil
 	}
 	defer rc.Close()
-	rr := live.NewWALRecordReader(rc, version)
+	rr := live.NewWALRecordReader(rc)
 	applied := int64(0)
 	for {
 		op, triples, n, rerr := rr.Next()

@@ -81,7 +81,7 @@ func (ld *Leader) handleManifest(w http.ResponseWriter, _ *http.Request) {
 	httpapi.WriteJSON(w, client.ReplManifest{
 		Generation:   st.Gen,
 		Epoch:        st.Epoch,
-		WALVersion:   st.WALVersion,
+		WALVersion:   live.WALVersion,
 		WALSize:      st.WALSize,
 		WALRecords:   st.WALRecords,
 		WALDataStart: live.WALDataStart,

@@ -157,15 +157,21 @@ func (c *container) section(id byte) (*section, error) {
 // (mmap'd or heap) and indexes its sections. With verify set, every
 // section checksum is checked now; otherwise sections verify lazily on
 // first touch.
+//
+// Magic and version are checked before the header length, so a file of
+// another version reports ErrSnapshotVersion however short it is.
 func parseContainer(data []byte, verify bool) (*container, error) {
-	if len(data) < v2HeaderSize {
-		return nil, fmt.Errorf("snapshot v2 header: %w", ErrSnapshotTruncated)
+	if len(data) < len(snapshotMagic)+1 {
+		return nil, fmt.Errorf("snapshot header: %w", ErrSnapshotTruncated)
 	}
 	if string(data[:len(snapshotMagic)]) != snapshotMagic {
 		return nil, ErrSnapshotMagic
 	}
 	if data[6] != snapshotVersion2 {
-		return nil, fmt.Errorf("%w %d (this build reads 1 and 2)", ErrSnapshotVersion, data[6])
+		return nil, errVersion(data[6])
+	}
+	if len(data) < v2HeaderSize {
+		return nil, fmt.Errorf("snapshot v2 header: %w", ErrSnapshotTruncated)
 	}
 	if got := crc32.ChecksumIEEE(data[:60]); got != binary.LittleEndian.Uint32(data[60:64]) {
 		return nil, fmt.Errorf("%w: header (computed %08x, file carries %08x)",

@@ -14,8 +14,6 @@ var indexFoldSeconds = obs.Default.Histogram("rdfsum_index_fold_seconds",
 var (
 	snapshotSectionsVerified = obs.Default.Counter("rdfsum_snapshot_sections_verified_total",
 		"Snapshot/run file sections whose CRC has been verified (lazily on first touch, or eagerly).")
-	snapshotOpensV1 = obs.Default.Counter("rdfsum_snapshot_opens_v1_total",
-		"Snapshot files opened in the v1 eager format.")
 	snapshotOpensV2 = obs.Default.Counter("rdfsum_snapshot_opens_v2_total",
 		"Snapshot files opened in the v2 mapped format.")
 	indexSpillRuns = obs.Default.Counter("rdfsum_index_spill_runs_total",

@@ -9,12 +9,14 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"path/filepath"
 
 	"rdfsum/internal/dict"
 	"rdfsum/internal/rdf"
 )
 
-// Binary snapshot format (replaces the paper's Postgres COPY path):
+// Binary snapshot format v1, the streamed predecessor of the v2 container
+// (container.go). Only UpgradeFile reads it, to rewrite it as v2:
 //
 //	magic   "RDFSUM" + format version byte
 //	uvarint number of dictionary terms, then for each term:
@@ -51,6 +53,12 @@ var (
 	ErrSnapshotChecksum = errors.New("store: snapshot checksum mismatch")
 )
 
+// errVersion reports a snapshot version this build does not serve.
+func errVersion(v byte) error {
+	return fmt.Errorf("%w %d (this build serves v%d; `rdfsum migrate` upgrades v1 files)",
+		ErrSnapshotVersion, v, snapshotVersion2)
+}
+
 // truncatedOr classifies a read error: EOF-family errors mean the file
 // ended early (truncation), anything else is an I/O failure passed
 // through.
@@ -58,52 +66,6 @@ func truncatedOr(err error) error {
 	if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
 		return ErrSnapshotTruncated
 	}
-	return err
-}
-
-// WriteSnapshot serializes the graph (dictionary included) to w in the
-// legacy v1 format. New snapshots are written by WriteSnapshotV2; this
-// stays for format round-trip tests and downgrade tooling.
-func WriteSnapshot(w io.Writer, g *Graph) error {
-	g.Ensure()
-	crc := crc32.NewIEEE()
-	bw := bufio.NewWriter(io.MultiWriter(w, crc))
-
-	if _, err := bw.WriteString(snapshotMagic); err != nil {
-		return err
-	}
-	if err := bw.WriteByte(snapshotVersion); err != nil {
-		return err
-	}
-
-	d := g.Dict()
-	writeUvarint(bw, uint64(d.Len()))
-	for id := dict.ID(1); id <= d.MaxID(); id++ {
-		t := d.Term(id)
-		if err := bw.WriteByte(byte(t.Kind)); err != nil {
-			return err
-		}
-		writeString(bw, t.Value)
-		if t.Kind == rdf.Literal {
-			writeString(bw, t.Datatype)
-			writeString(bw, t.Lang)
-		}
-	}
-	for _, comp := range [][]Triple{g.Data, g.Types, g.Schema} {
-		writeUvarint(bw, uint64(len(comp)))
-		for _, t := range comp {
-			writeUvarint(bw, uint64(t.S))
-			writeUvarint(bw, uint64(t.P))
-			writeUvarint(bw, uint64(t.O))
-		}
-	}
-	if err := bw.Flush(); err != nil {
-		return err
-	}
-	// The checksum is written to w only (it covers all bytes before it).
-	var sum [4]byte
-	binary.LittleEndian.PutUint32(sum[:], crc.Sum32())
-	_, err := w.Write(sum[:])
 	return err
 }
 
@@ -133,48 +95,56 @@ func (c *crcReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// ReadSnapshot reconstructs a graph from a snapshot stream of either
-// format version, verifying every checksum eagerly (this is the
-// streamed path — replication bootstrap and piped tooling — where the
-// bytes are transient and a lazy view has nothing durable to map).
-// Errors wrap the ErrSnapshot* sentinels.
+// ReadSnapshot reconstructs a graph from a snapshot stream, verifying
+// every checksum eagerly (this is the streamed path — replication
+// bootstrap and piped tooling — where the bytes are transient and a lazy
+// view has nothing durable to map). Errors wrap the ErrSnapshot*
+// sentinels.
 func ReadSnapshot(r io.Reader) (*Graph, error) {
-	br := bufio.NewReader(r)
-	hdr, err := br.Peek(len(snapshotMagic) + 1)
+	data, err := io.ReadAll(r)
 	if err != nil {
-		return nil, fmt.Errorf("snapshot header: %w", truncatedOr(err))
+		return nil, truncatedOr(err)
 	}
-	if string(hdr[:len(snapshotMagic)]) != snapshotMagic {
-		return nil, ErrSnapshotMagic
+	c, err := parseContainer(data, true)
+	if err != nil {
+		return nil, err
 	}
-	switch hdr[len(snapshotMagic)] {
-	case snapshotVersion:
-		return readSnapshotV1(br)
-	case snapshotVersion2:
-		data, err := io.ReadAll(br)
-		if err != nil {
-			return nil, truncatedOr(err)
-		}
-		c, err := parseContainer(data, true)
-		if err != nil {
-			return nil, err
-		}
-		return graphFromContainer(c)
-	default:
-		return nil, fmt.Errorf("%w %d (this build reads 1 and 2)",
-			ErrSnapshotVersion, hdr[len(snapshotMagic)])
-	}
+	return graphFromContainer(c)
 }
 
-// readSnapshotV1 parses the legacy eager format. The magic and version
-// bytes are still unconsumed in r (only peeked) so the running checksum
-// covers them.
-func readSnapshotV1(r *bufio.Reader) (*Graph, error) {
-	br := &crcReader{src: r, crc: crc32.NewIEEE()}
+// UpgradeFile rewrites the v1 snapshot at path as v2, atomically (see
+// WriteFileAtomic), and reports whether it did. A v2 file is left alone.
+func UpgradeFile(path string) (bool, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return false, err
+	}
+	defer f.Close()
+	br := bufio.NewReader(f)
+	if hdr, err := br.Peek(len(snapshotMagic) + 1); err == nil &&
+		string(hdr[:len(snapshotMagic)]) == snapshotMagic && hdr[len(snapshotMagic)] == snapshotVersion2 {
+		return false, nil
+	}
+	g, err := readSnapshotV1(br)
+	if err != nil {
+		return false, fmt.Errorf("%s: %w", path, err)
+	}
+	return true, SaveFile(path, g)
+}
+
+// readSnapshotV1 parses the v1 format, header included.
+func readSnapshotV1(r io.Reader) (*Graph, error) {
+	br := &crcReader{src: bufio.NewReader(r), crc: crc32.NewIEEE()}
 
 	magic := make([]byte, len(snapshotMagic)+1)
 	if _, err := io.ReadFull(br, magic); err != nil {
 		return nil, fmt.Errorf("snapshot header: %w", truncatedOr(err))
+	}
+	if string(magic[:len(snapshotMagic)]) != snapshotMagic {
+		return nil, ErrSnapshotMagic
+	}
+	if v := magic[len(snapshotMagic)]; v != snapshotVersion {
+		return nil, errVersion(v)
 	}
 
 	nTerms, err := binary.ReadUvarint(br)
@@ -255,17 +225,9 @@ func readSnapshotV1(r *bufio.Reader) (*Graph, error) {
 }
 
 // SaveFile writes a snapshot to path in the current (v2) format,
-// replacing any existing file.
+// replacing any existing file atomically (see WriteFileAtomic).
 func SaveFile(path string, g *Graph) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := WriteSnapshotV2(f, g); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return WriteFileAtomic(path, true, func(w io.Writer) error { return WriteSnapshotV2(w, g) })
 }
 
 // LoadFile reads a snapshot from path.
@@ -278,15 +240,41 @@ func LoadFile(path string) (*Graph, error) {
 	return ReadSnapshot(f)
 }
 
-func writeUvarint(w *bufio.Writer, v uint64) {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], v)
-	w.Write(buf[:n]) //nolint:errcheck // bufio defers errors to Flush
-}
-
-func writeString(w *bufio.Writer, s string) {
-	writeUvarint(w, uint64(len(s)))
-	w.WriteString(s) //nolint:errcheck // bufio defers errors to Flush
+// WriteFileAtomic replaces path with what write produces. It writes a
+// temporary file beside path and renames it over path, so a failed or
+// interrupted write leaves the previous file untouched and no temporary
+// behind. With sync set, the data is fsynced before the rename and the
+// directory after it, so the new file is durable when WriteFileAtomic
+// returns.
+func WriteFileAtomic(path string, sync bool, write func(io.Writer) error) error {
+	tmp := path + ".tmp"
+	f, err := os.Create(tmp)
+	if err != nil {
+		return err
+	}
+	err = write(f)
+	if err == nil && sync {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		os.Remove(tmp)
+		return err
+	}
+	if !sync {
+		return nil
+	}
+	d, err := os.Open(filepath.Dir(path))
+	if err != nil {
+		return err
+	}
+	defer d.Close()
+	return d.Sync()
 }
 
 func readString(br *crcReader) (string, error) {

@@ -7,6 +7,7 @@ import (
 	"math/rand/v2"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"rdfsum/internal/dict"
@@ -166,81 +167,101 @@ func TestSnapshotV2IndexFromBase(t *testing.T) {
 	}
 }
 
+// TestSnapshotVersionNegotiation: the serving readers know one format.
+// ReadSnapshot and OpenGraphFile refuse a v1 file, short or whole, with
+// ErrSnapshotVersion naming the migration; UpgradeFile converts it once,
+// and the result reopens bit-identically.
 func TestSnapshotVersionNegotiation(t *testing.T) {
 	g, v2data := v2Sample(t)
-
-	// A v1 stream still round-trips through the same entry point.
 	var v1buf bytes.Buffer
-	if err := WriteSnapshot(&v1buf, g); err != nil {
-		t.Fatalf("WriteSnapshot(v1): %v", err)
+	if err := writeSnapshotV1(&v1buf, g); err != nil {
+		t.Fatalf("writeSnapshotV1: %v", err)
 	}
-	got, err := ReadSnapshot(bytes.NewReader(v1buf.Bytes()))
-	if err != nil {
-		t.Fatalf("ReadSnapshot(v1): %v", err)
-	}
-	identicalGraphs(t, g, got)
-
-	// An unknown future version is refused with the versioned sentinel.
-	future := append([]byte(nil), v2data...)
+	v1data := v1buf.Bytes()
+	future := append([]byte{}, v2data...)
 	future[len(snapshotMagic)] = 9
-	if _, err := ReadSnapshot(bytes.NewReader(future)); !errors.Is(err, ErrSnapshotVersion) {
-		t.Fatalf("future version: got %v, want ErrSnapshotVersion", err)
+	cases := map[string][]byte{
+		"v1":       v1data,
+		"short-v1": v1data[:v2HeaderSize/2], // shorter than a v2 header
+		"future":   future,
+	}
+	for name, data := range cases {
+		if _, err := ReadSnapshot(bytes.NewReader(data)); !errors.Is(err, ErrSnapshotVersion) {
+			t.Fatalf("ReadSnapshot(%s): got %v, want ErrSnapshotVersion", name, err)
+		}
+		path := filepath.Join(t.TempDir(), name+".rdfsum")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, _, err := OpenGraphFile(path, false)
+		if !errors.Is(err, ErrSnapshotVersion) {
+			t.Fatalf("OpenGraphFile(%s): got %v, want ErrSnapshotVersion", name, err)
+		}
+		if !strings.Contains(err.Error(), "rdfsum migrate") {
+			t.Fatalf("version error %q does not name rdfsum migrate", err)
+		}
+		if _, err := InspectSnapshot(path); !errors.Is(err, ErrSnapshotVersion) {
+			t.Fatalf("InspectSnapshot(%s): got %v, want ErrSnapshotVersion", name, err)
+		}
 	}
 
-	// A v1-era decoder handed v2 bytes (e.g. an old follower bootstrapping
-	// from an upgraded leader) must fail with a classified error, never
-	// yield a garbage graph: its version check fires before any parsing.
-	if v2data[len(snapshotMagic)] == snapshotVersion {
-		t.Fatal("v2 stream carries the v1 version byte")
-	}
-
-	// Both container files open through OpenGraphFile.
-	dir := t.TempDir()
-	v1path := filepath.Join(dir, "v1.rdfsum")
-	if err := os.WriteFile(v1path, v1buf.Bytes(), 0o644); err != nil {
+	path := filepath.Join(t.TempDir(), "g.rdfsum")
+	if err := os.WriteFile(path, v1data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	gotV1, sf, err := OpenGraphFile(v1path, false)
+	if up, err := UpgradeFile(path); err != nil || !up {
+		t.Fatalf("UpgradeFile(v1) = %v, %v; want true, nil", up, err)
+	}
+	upgraded, err := os.ReadFile(path)
 	if err != nil {
-		t.Fatalf("OpenGraphFile(v1): %v", err)
+		t.Fatal(err)
 	}
-	if sf != nil {
-		t.Fatal("v1 open returned a mapped SnapshotFile")
+	if !bytes.Equal(upgraded, v2data) {
+		t.Fatal("upgraded file differs from the v2 serialization of the same graph")
 	}
-	identicalGraphs(t, g, gotV1)
+	if up, err := UpgradeFile(path); err != nil || up {
+		t.Fatalf("UpgradeFile(v2) = %v, %v; want false, nil", up, err)
+	}
+	if again, _ := os.ReadFile(path); !bytes.Equal(again, upgraded) {
+		t.Fatal("UpgradeFile rewrote a current file")
+	}
+	got, sf, err := OpenGraphFile(path, true)
+	if err != nil {
+		t.Fatalf("OpenGraphFile(upgraded): %v", err)
+	}
+	defer sf.Close()
+	identicalGraphs(t, g, got)
+	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
+		t.Fatalf("UpgradeFile left its temporary behind: %v", err)
+	}
 }
 
-// TestSnapshotV2CompactUpgrades: a graph loaded from a v1 file and saved
-// again lands in v2 — the upgrade path Compact uses.
+// TestSnapshotV2CompactUpgrades: UpgradeFile rewrites a v1 file as the
+// v2 container, which inspects as v2 and loads the same graph.
 func TestSnapshotV2CompactUpgrades(t *testing.T) {
-	g, _ := v2Sample(t)
-	dir := t.TempDir()
-	v1path := filepath.Join(dir, "v1.rdfsum")
-	f, err := os.Create(v1path)
-	if err != nil {
+	g := v2RandomGraph(t, 5, 400)
+	var v1buf bytes.Buffer
+	if err := writeSnapshotV1(&v1buf, g); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteSnapshot(f, g); err != nil {
+	path := filepath.Join(t.TempDir(), "g.rdfsum")
+	if err := os.WriteFile(path, v1buf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	f.Close()
-
-	loaded, err := LoadFile(v1path)
-	if err != nil {
-		t.Fatalf("LoadFile(v1): %v", err)
+	if _, err := LoadFile(path); !errors.Is(err, ErrSnapshotVersion) {
+		t.Fatalf("LoadFile(v1): got %v, want ErrSnapshotVersion", err)
 	}
-	v2path := filepath.Join(dir, "v2.rdfsum")
-	if err := SaveFile(v2path, loaded); err != nil {
-		t.Fatalf("SaveFile: %v", err)
+	if up, err := UpgradeFile(path); err != nil || !up {
+		t.Fatalf("UpgradeFile = %v, %v; want true, nil", up, err)
 	}
-	info, err := InspectSnapshot(v2path)
+	info, err := InspectSnapshot(path)
 	if err != nil {
 		t.Fatalf("InspectSnapshot: %v", err)
 	}
 	if info.Version != 2 {
 		t.Fatalf("rewritten snapshot is v%d, want v2", info.Version)
 	}
-	got, err := LoadFile(v2path)
+	got, err := LoadFile(path)
 	if err != nil {
 		t.Fatalf("LoadFile(v2): %v", err)
 	}

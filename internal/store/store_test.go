@@ -2,6 +2,10 @@ package store
 
 import (
 	"bytes"
+	"errors"
+	"io"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -197,8 +201,8 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		{S: rdf.NewBlank("b0"), P: rdf.NewIRI("http://x/p"), O: rdf.NewLangLiteral("é", "fr")},
 	})
 	var buf bytes.Buffer
-	if err := WriteSnapshot(&buf, g); err != nil {
-		t.Fatalf("WriteSnapshot: %v", err)
+	if err := WriteSnapshotV2(&buf, g); err != nil {
+		t.Fatalf("WriteSnapshotV2: %v", err)
 	}
 	h, err := ReadSnapshot(bytes.NewReader(buf.Bytes()))
 	if err != nil {
@@ -212,27 +216,29 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSnapshotDetectsCorruption: the v1 reader behind UpgradeFile
+// rejects a flipped byte, a truncation and a bad magic.
 func TestSnapshotDetectsCorruption(t *testing.T) {
 	g := FromTriples([]rdf.Triple{tr("s", "p", "o"), typeTr("s", "C")})
 	var buf bytes.Buffer
-	if err := WriteSnapshot(&buf, g); err != nil {
-		t.Fatalf("WriteSnapshot: %v", err)
+	if err := writeSnapshotV1(&buf, g); err != nil {
+		t.Fatalf("writeSnapshotV1: %v", err)
 	}
 	raw := buf.Bytes()
 	// Flip a payload byte (not in the magic, not in the checksum).
 	corrupt := append([]byte(nil), raw...)
 	corrupt[len(corrupt)/2] ^= 0xFF
-	if _, err := ReadSnapshot(bytes.NewReader(corrupt)); err == nil {
-		t.Error("ReadSnapshot accepted a corrupted snapshot")
+	if _, err := readV1(corrupt); err == nil {
+		t.Error("v1 reader accepted a corrupted snapshot")
 	}
 	// Truncated file.
-	if _, err := ReadSnapshot(bytes.NewReader(raw[:len(raw)-3])); err == nil {
-		t.Error("ReadSnapshot accepted a truncated snapshot")
+	if _, err := readV1(raw[:len(raw)-3]); err == nil {
+		t.Error("v1 reader accepted a truncated snapshot")
 	}
 	// Bad magic.
 	bad := append([]byte("NOTRDF"), raw[6:]...)
-	if _, err := ReadSnapshot(bytes.NewReader(bad)); err == nil {
-		t.Error("ReadSnapshot accepted a bad magic")
+	if _, err := readV1(bad); err == nil {
+		t.Error("v1 reader accepted a bad magic")
 	}
 }
 
@@ -251,5 +257,69 @@ func TestSnapshotFileHelpers(t *testing.T) {
 	}
 	if _, err := LoadFile(path + ".missing"); err == nil {
 		t.Error("LoadFile on a missing path must fail")
+	}
+}
+
+// TestWriteFileAtomicFailedWrite: a write that fails leaves the previous
+// file byte-identical and no temporary behind.
+func TestWriteFileAtomicFailedWrite(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "g.rdfsum")
+	old := []byte("the previous snapshot")
+	if err := os.WriteFile(path, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	boom := errors.New("disk full")
+	for _, sync := range []bool{false, true} {
+		err := WriteFileAtomic(path, sync, func(w io.Writer) error {
+			w.Write([]byte("half a new snapsh")) //nolint:errcheck
+			return boom
+		})
+		if !errors.Is(err, boom) {
+			t.Fatalf("sync=%v: got %v, want the write's error", sync, err)
+		}
+		if got, _ := os.ReadFile(path); !bytes.Equal(got, old) {
+			t.Fatalf("sync=%v: failed write changed the file to %q", sync, got)
+		}
+		if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
+			t.Fatalf("sync=%v: temporary left behind (%v)", sync, err)
+		}
+	}
+}
+
+// TestSaveFileReplacesAtomically: SaveFile never writes into the existing
+// file — a reader holding it open keeps the old bytes — and the new
+// snapshot appears under the name whole.
+func TestSaveFileReplacesAtomically(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "g.rdfsum")
+	first := FromTriples([]rdf.Triple{tr("s", "p", "o")})
+	if err := SaveFile(path, first); err != nil {
+		t.Fatal(err)
+	}
+	old, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	held, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer held.Close()
+
+	second := FromTriples([]rdf.Triple{tr("s", "p", "o"), tr("s2", "p", "o2"), typeTr("s2", "C")})
+	if err := SaveFile(path, second); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := io.ReadAll(held); err != nil || !bytes.Equal(got, old) {
+		t.Fatalf("the replaced file was rewritten in place (read %d bytes, err %v)", len(got), err)
+	}
+	h, err := LoadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(h.CanonicalStrings(), second.CanonicalStrings()) {
+		t.Error("SaveFile did not install the new snapshot")
+	}
+	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
+		t.Fatalf("temporary left behind (%v)", err)
 	}
 }

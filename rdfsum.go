@@ -30,6 +30,7 @@ package rdfsum
 
 import (
 	"io"
+	"os"
 
 	"rdfsum/internal/bsbm"
 	"rdfsum/internal/compress"
@@ -293,24 +294,40 @@ func WriteTurtle(w io.Writer, triples []Triple) error {
 }
 
 // SaveSnapshot writes a graph (dictionary included) to the library's
-// checksummed binary format.
+// checksummed binary format, replacing any file at path atomically: a
+// failed or interrupted save leaves the previous file intact.
 func SaveSnapshot(path string, g *Graph) error { return store.SaveFile(path, g) }
 
-// LoadSnapshot reads a graph saved with SaveSnapshot (either format
-// version).
+// LoadSnapshot reads a graph saved with SaveSnapshot. A snapshot in the
+// older v1 format is refused with an error naming `rdfsum migrate`; see
+// Migrate.
 func LoadSnapshot(path string) (*Graph, error) { return store.LoadFile(path) }
 
+// Migrate upgrades a v1 snapshot file, or a live store directory written
+// in the v1 snapshot or WAL format, to the formats this build reads,
+// rewriting each file atomically. It reports whether anything changed; a
+// current file or store is left alone. A store must not be open in
+// another process while it migrates.
+func Migrate(path string) (bool, error) {
+	info, err := os.Stat(path)
+	if err != nil {
+		return false, err
+	}
+	if info.IsDir() {
+		return live.Migrate(path)
+	}
+	return store.UpgradeFile(path)
+}
+
 // SnapshotInfo is the parsed layout of a snapshot file: header counts
-// plus, for the v2 container format, the table of contents with each
-// section's offset, length and CRC.
+// plus the table of contents with each section's offset, length and CRC.
 type SnapshotInfo = store.SnapshotInfo
 
-// SnapshotSectionInfo is one v2 section in a SnapshotInfo.
+// SnapshotSectionInfo is one section in a SnapshotInfo.
 type SnapshotSectionInfo = store.SectionInfo
 
-// InspectSnapshot reports a snapshot file's layout without loading its
-// triples: v2 files are answered from the header and TOC alone; v1 files
-// must be decoded in full (their format has no TOC).
+// InspectSnapshot reports a snapshot file's layout from its header and
+// TOC alone, without loading its triples.
 func InspectSnapshot(path string) (*SnapshotInfo, error) { return store.InspectSnapshot(path) }
 
 // Saturate returns G∞, the closure of g under the RDFS entailment rules
